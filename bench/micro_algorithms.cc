@@ -32,10 +32,18 @@ scanAt(sim::Tick t)
     return lidar.scan(scenario, t);
 }
 
+/**
+ * One scan per 100 ms of drive time. The argument is the scene's
+ * moving-vehicle and pedestrian count each: 0 is the map builder's
+ * quiet pass, 20 the default drive, 40 the dense scene.
+ */
 void
 BM_LidarScan(benchmark::State &state)
 {
-    const world::Scenario scenario;
+    world::ScenarioConfig cfg;
+    cfg.nVehicles = static_cast<std::uint32_t>(state.range(0));
+    cfg.nPedestrians = cfg.nVehicles;
+    const world::Scenario scenario(cfg);
     const world::LidarModel lidar;
     sim::Tick t = 0;
     for (auto _ : state) {
@@ -43,7 +51,12 @@ BM_LidarScan(benchmark::State &state)
         t += 100 * sim::oneMs;
     }
 }
-BENCHMARK(BM_LidarScan)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LidarScan)
+    ->ArgName("movers")
+    ->Arg(0)
+    ->Arg(20)
+    ->Arg(40)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_VoxelGridDownsample(benchmark::State &state)

@@ -3,6 +3,10 @@
 #
 #   1. tier-1 verify: default configure + build + ctest
 #      (then the fault-injection smoke by its ctest label)
+#   1b. benchmark: build avbench/ (its own CMake package, Release,
+#      compiled from src/) and run its own tests, so a src/ change
+#      that breaks the benchmark or one of its correctness checks
+#      fails the gate
 #   2. avlint over the whole tree
 #   3. avgraph: the static pub/sub topology contract over src/
 #      (regenerates results/topology.{json,dot}), then the ctest
@@ -22,6 +26,7 @@
 #      cross-thread acquire/release protocol clean
 #
 # Usage: scripts/check.sh [build-dir] [asan-build-dir] [tsan-build-dir]
+#                         [bench-build-dir]
 # Exit code is non-zero if any stage fails.
 
 set -euo pipefail
@@ -30,6 +35,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
 ASAN_BUILD="${2:-$ROOT/build-asan}"
 TSAN_BUILD="${3:-$ROOT/build-tsan}"
+BENCH_BUILD="${4:-$ROOT/.bench_build}"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
@@ -44,6 +50,11 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
 step "fault-injection smoke (ctest label 'fault')"
 ctest --test-dir "$BUILD" --output-on-failure -L fault
+
+step "benchmark: build avbench + its own tests ($BENCH_BUILD)"
+cmake -S "$ROOT/avbench" -B "$BENCH_BUILD" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BENCH_BUILD" -j "$JOBS" --target avbench
+ctest --test-dir "$BENCH_BUILD" --output-on-failure
 
 step "avlint"
 "$BUILD/tools/avlint/avlint" --root "$ROOT"
