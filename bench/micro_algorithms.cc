@@ -1,8 +1,12 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the algorithm cores (host
- * performance of the functional implementations; no simulation).
- * Useful for keeping the library's own hot paths honest.
+ * performance of the functional implementations). The plain variants
+ * run detached, with no simulation; the /traced ones attach a node
+ * state traced on every invocation, so they add the host cost of the
+ * µarch models the probes drive, and BM_CacheModelStream times the
+ * cache model alone. Useful for keeping the library's own hot paths
+ * honest.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +19,7 @@
 #include "perception/ray_ground_filter.hh"
 #include "pointcloud/kdtree.hh"
 #include "pointcloud/voxel_grid.hh"
+#include "uarch/profiler.hh"
 #include "util/random.hh"
 #include "world/map_builder.hh"
 #include "world/scenario.hh"
@@ -31,6 +36,63 @@ scanAt(sim::Tick t)
     static const world::LidarModel lidar;
     return lidar.scan(scenario, t);
 }
+
+/**
+ * Run @p kernel once per iteration: detached, or attached to a node
+ * state that traces every invocation.
+ */
+template <class Kernel>
+void
+runKernel(benchmark::State &state, bool traced, Kernel &&kernel)
+{
+    uarch::NodeArchState arch({}, {}, {}, 1);
+    for (auto _ : state) {
+        if (!traced) {
+            kernel(uarch::KernelProfiler());
+            continue;
+        }
+        arch.beginInvocation();
+        kernel(uarch::KernelProfiler(&arch));
+        benchmark::DoNotOptimize(arch.endInvocation());
+    }
+}
+
+/**
+ * The default 32 KiB 8-way L1 fed a mixed stream: three quarters
+ * sequential 4-byte accesses (a third of them writes), one quarter
+ * scattered 8-byte reads, over a working set of the argument's KiB
+ * (16 fits the cache and mostly hits, 1024 mostly misses).
+ */
+void
+BM_CacheModelStream(benchmark::State &state)
+{
+    const auto working_set =
+        static_cast<std::uint64_t>(state.range(0)) * 1024;
+    util::Rng rng(4);
+    std::vector<std::uint64_t> addrs(1 << 16);
+    std::uint64_t cursor = 0;
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        cursor = (cursor + 4) % working_set;
+        addrs[i] = i % 4 == 3
+                       ? static_cast<std::uint64_t>(rng.uniformInt(
+                             0, static_cast<std::int64_t>(working_set)))
+                       : cursor;
+    }
+    uarch::CacheModel cache;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < addrs.size(); ++i)
+            cache.access(addrs[i], i % 4 == 3 ? 8 : 4, i % 4 == 1);
+        benchmark::DoNotOptimize(cache.stats());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(addrs.size()));
+}
+BENCHMARK(BM_CacheModelStream)
+    ->ArgName("kib")
+    ->Arg(16)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * One scan per 100 ms of drive time. The argument is the scene's
@@ -84,21 +146,23 @@ BM_KdTreeBuild(benchmark::State &state)
 BENCHMARK(BM_KdTreeBuild)->Unit(benchmark::kMicrosecond);
 
 void
-BM_KdTreeRadiusSearch(benchmark::State &state)
+BM_KdTreeRadiusSearch(benchmark::State &state, bool traced)
 {
     const pc::PointCloud scan = scanAt(5 * sim::oneSec);
     pc::KdTree tree;
     tree.build(scan);
     util::Rng rng(1);
     std::vector<std::uint32_t> found;
-    for (auto _ : state) {
+    runKernel(state, traced, [&](uarch::KernelProfiler prof) {
         const geom::Vec3 q{rng.uniform(-30, 30),
                            rng.uniform(-30, 30), 1.0};
         benchmark::DoNotOptimize(
-            tree.radiusSearch(q, 0.6, found));
-    }
+            tree.radiusSearch(q, 0.6, found, prof));
+    });
 }
-BENCHMARK(BM_KdTreeRadiusSearch);
+BENCHMARK_CAPTURE(BM_KdTreeRadiusSearch, detached, false)
+    ->Name("BM_KdTreeRadiusSearch");
+BENCHMARK_CAPTURE(BM_KdTreeRadiusSearch, traced, true);
 
 void
 BM_RayGroundFilter(benchmark::State &state)
@@ -112,18 +176,23 @@ BM_RayGroundFilter(benchmark::State &state)
 BENCHMARK(BM_RayGroundFilter)->Unit(benchmark::kMicrosecond);
 
 void
-BM_EuclideanCluster(benchmark::State &state)
+BM_EuclideanCluster(benchmark::State &state, bool traced)
 {
     const pc::PointCloud scan = scanAt(5 * sim::oneSec);
     const auto split = perception::rayGroundFilter(
         scan, perception::RayGroundConfig());
     const auto cropped = perception::cropForClustering(
         split.noGround, perception::ClusterConfig());
-    for (auto _ : state)
+    runKernel(state, traced, [&](uarch::KernelProfiler prof) {
         benchmark::DoNotOptimize(perception::euclideanCluster(
-            cropped, perception::ClusterConfig()));
+            cropped, perception::ClusterConfig(), prof));
+    });
 }
-BENCHMARK(BM_EuclideanCluster)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EuclideanCluster, detached, false)
+    ->Name("BM_EuclideanCluster")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EuclideanCluster, traced, true)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_NdtAlign(benchmark::State &state)
@@ -173,7 +242,7 @@ BM_TrackerUpdate(benchmark::State &state)
 BENCHMARK(BM_TrackerUpdate)->Arg(4)->Arg(16)->Arg(64);
 
 void
-BM_CostmapObjects(benchmark::State &state)
+BM_CostmapObjects(benchmark::State &state, bool traced)
 {
     perception::ObjectList objects;
     util::Rng rng(3);
@@ -189,11 +258,16 @@ BM_CostmapObjects(benchmark::State &state)
     }
     objects = perception::predictMotion(objects,
                                         perception::PredictConfig());
-    for (auto _ : state)
+    runKernel(state, traced, [&](uarch::KernelProfiler prof) {
         benchmark::DoNotOptimize(perception::generateObjectCostmap(
-            objects, geom::Pose2{}, perception::CostmapConfig()));
+            objects, geom::Pose2{}, perception::CostmapConfig(), prof));
+    });
 }
-BENCHMARK(BM_CostmapObjects)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CostmapObjects, detached, false)
+    ->Name("BM_CostmapObjects")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CostmapObjects, traced, true)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -35,7 +35,17 @@ emptyGrid(const geom::Pose2 &ego, const CostmapConfig &config,
     return map;
 }
 
-/** Paint a filled disc of @p radius meters at world position. */
+/**
+ * Paint a filled disc of @p radius meters at world position.
+ *
+ * Cell (x, y) is inside when (x - gx)^2 + (y - gy)^2 <= r_cells^2,
+ * clipped to the grid and to the disc's bounding square around the
+ * truncated centre. Each row's inside cells form one interval
+ * (DESIGN.md §17), so a row is painted as a single span: a sqrt
+ * estimate of its ends, corrected with the exact predicate. Cells are
+ * visited row by row, left to right, and every 8th painted cell is
+ * probed, as a plain scan of the bounding square would.
+ */
 void
 paintDisc(Costmap &map, const geom::Vec2 &world, double radius,
           float value, uarch::KernelProfiler &prof,
@@ -45,26 +55,73 @@ paintDisc(Costmap &map, const geom::Vec2 &world, double radius,
     const double gy = (world.y - map.origin.y) / map.resolution;
     const int r_cells = std::max(
         1, static_cast<int>(radius / map.resolution));
+    const double r2 = double(r_cells) * r_cells;
     const int cx = static_cast<int>(gx);
     const int cy = static_cast<int>(gy);
-    for (int y = cy - r_cells; y <= cy + r_cells; ++y) {
-        if (y < 0 || y >= static_cast<int>(map.cellsY))
-            continue;
-        for (int x = cx - r_cells; x <= cx + r_cells; ++x) {
-            if (x < 0 || x >= static_cast<int>(map.cellsX))
-                continue;
+    const int x_lo = std::max(cx - r_cells, 0);
+    const int x_hi =
+        std::min(cx + r_cells, static_cast<int>(map.cellsX) - 1);
+    if (x_lo > x_hi)
+        return;
+    // Cells nearest the centre: if any cell of a row is inside, the
+    // nearer of these two is.
+    const double near_x = std::floor(gx);
+    const int near_a =
+        static_cast<int>(std::clamp(near_x, double(x_lo), double(x_hi)));
+    const int near_b = static_cast<int>(
+        std::clamp(near_x + 1.0, double(x_lo), double(x_hi)));
+    const int y_lo = std::max(cy - r_cells, 0);
+    const int y_hi =
+        std::min(cy + r_cells, static_cast<int>(map.cellsY) - 1);
+
+    for (int y = y_lo; y <= y_hi; ++y) {
+        const double dy = y - gy;
+        const double dy2 = dy * dy;
+        const auto inside = [&](int x) {
             const double dx = x - gx;
-            const double dy = y - gy;
-            if (dx * dx + dy * dy >
-                double(r_cells) * r_cells)
-                continue;
-            const std::size_t cell_idx =
-                static_cast<std::size_t>(y) * map.cellsX +
-                static_cast<std::size_t>(x);
-            float &cell = map.cost[cell_idx];
-            cell = std::max(cell, value);
-            ++painted;
-            if (prof.tracing() && painted % 8 == 0) {
+            return !(dx * dx + dy2 > r2);
+        };
+        const int mid = inside(near_a) ? near_a : near_b;
+        if (!inside(mid))
+            continue;
+
+        const double half = std::sqrt(std::max(r2 - dy2, 0.0));
+        int xa = static_cast<int>(
+            std::clamp(std::ceil(gx - half), double(x_lo), double(mid)));
+        int xb = static_cast<int>(std::clamp(
+            std::floor(gx + half), double(mid), double(x_hi)));
+        if (inside(xa)) {
+            while (xa > x_lo && inside(xa - 1))
+                --xa;
+        } else {
+            do
+                ++xa;
+            while (!inside(xa));
+        }
+        if (inside(xb)) {
+            while (xb < x_hi && inside(xb + 1))
+                ++xb;
+        } else {
+            do
+                --xb;
+            while (!inside(xb));
+        }
+
+        const std::size_t row =
+            static_cast<std::size_t>(y) * map.cellsX;
+        float *cells = map.cost.data() + row;
+        for (int x = xa; x <= xb; ++x)
+            cells[x] = std::max(cells[x], value);
+
+        const std::uint64_t span =
+            static_cast<std::uint64_t>(xb - xa + 1);
+        if (prof.tracing()) {
+            // Painted-cell counts painted+1 .. painted+span; probe
+            // the cells whose count is a multiple of 8.
+            for (std::uint64_t i = (8 - (painted + 1) % 8) % 8;
+                 i < span; i += 8) {
+                const std::size_t cell_idx =
+                    row + static_cast<std::size_t>(xa) + i;
                 prof.store(regionGrid, cell_idx * sizeof(float),
                            sizeof(float));
                 prof.load(regionGrid, cell_idx * sizeof(float),
@@ -73,6 +130,7 @@ paintDisc(Costmap &map, const geom::Vec2 &world, double radius,
                 prof.hotStores(7);
             }
         }
+        painted += span;
     }
 }
 

@@ -62,7 +62,27 @@ class GsharePredictor
      * @param taken actual outcome
      * @return true when the prediction was correct
      */
-    bool record(std::uint64_t site, bool taken);
+    bool
+    record(std::uint64_t site, bool taken)
+    {
+        // Fold the 64-bit site down and XOR with history (gshare).
+        const std::uint32_t folded = static_cast<std::uint32_t>(
+            site ^ (site >> 17) ^ (site >> 31));
+        const std::uint32_t index = (folded ^ history_) & tableMask_;
+        std::uint8_t &counter = table_[index];
+        const bool correct = (counter >= 2) == taken;
+
+        // Saturating two-bit update, as a table lookup.
+        static constexpr std::uint8_t next[2][4] = {{0, 0, 1, 2},
+                                                    {1, 2, 3, 3}};
+        counter = next[taken][counter];
+        history_ = ((history_ << 1) | std::uint32_t{taken}) &
+                   historyMask_;
+
+        stats_.predicted += correct;
+        stats_.mispredicted += !correct;
+        return correct;
+    }
 
     /**
      * Record @p count statically well-behaved branches (loop

@@ -47,59 +47,19 @@ CacheModel::CacheModel(const CacheConfig &config) : config_(config)
               "number of cache sets must be a power of two");
     lineShift_ =
         static_cast<std::uint32_t>(std::countr_zero(config_.lineBytes));
-    lines_.resize(static_cast<std::size_t>(numSets_) * config_.assoc);
-}
-
-bool
-CacheModel::lookupInsert(std::uint64_t line_addr)
-{
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(line_addr & (numSets_ - 1));
-    const std::uint64_t tag = line_addr >> std::countr_zero(numSets_);
-    Line *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
-    ++useClock_;
-
-    Line *victim = base;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = useClock_;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock_;
-    return false;
-}
-
-void
-CacheModel::access(std::uintptr_t addr, std::uint32_t bytes, bool is_write)
-{
-    if (bytes == 0)
-        bytes = 1;
-    const std::uint64_t first = addr >> lineShift_;
-    const std::uint64_t last = (addr + bytes - 1) >> lineShift_;
-    for (std::uint64_t line = first; line <= last; ++line) {
-        const bool hit = lookupInsert(line);
-        if (is_write) {
-            hit ? ++stats_.writeHits : ++stats_.writeMisses;
-        } else {
-            hit ? ++stats_.readHits : ++stats_.readMisses;
-        }
-    }
+    setShift_ = static_cast<std::uint32_t>(std::countr_zero(numSets_));
+    AV_ASSERT(lineShift_ + setShift_ > 0,
+              "a one-set cache of one-byte lines cannot mark empty ways");
+    reset();
 }
 
 void
 CacheModel::reset()
 {
-    for (auto &line : lines_)
-        line.valid = false;
+    const std::size_t ways =
+        static_cast<std::size_t>(numSets_) * config_.assoc;
+    tags_.assign(ways, emptyTag);
+    stamps_.assign(ways, 0);
     stats_ = CacheStats();
     useClock_ = 0;
 }

@@ -57,7 +57,22 @@ class CacheModel
      * Simulate one access covering [addr, addr + bytes). Accesses
      * spanning line boundaries touch every covered line.
      */
-    void access(std::uintptr_t addr, std::uint32_t bytes, bool is_write);
+    void
+    access(std::uintptr_t addr, std::uint32_t bytes, bool is_write)
+    {
+        const std::uint64_t first = addr >> lineShift_;
+        const std::uint64_t last =
+            (addr + (bytes ? bytes : 1) - 1) >> lineShift_;
+        std::uint64_t &hits =
+            is_write ? stats_.writeHits : stats_.readHits;
+        std::uint64_t &misses =
+            is_write ? stats_.writeMisses : stats_.readMisses;
+        for (std::uint64_t line = first; line <= last; ++line) {
+            const bool hit = lookupInsert(line);
+            hits += hit;
+            misses += !hit;
+        }
+    }
 
     /** Convenience wrappers. */
     void read(std::uintptr_t addr, std::uint32_t bytes)
@@ -93,21 +108,57 @@ class CacheModel
     void resetStats() { stats_ = CacheStats(); }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** Tag no line address can produce: marks an empty way. */
+    static constexpr std::uint64_t emptyTag = ~std::uint64_t{0};
 
     CacheConfig config_;
     std::uint32_t numSets_;
     std::uint32_t lineShift_;
-    std::vector<Line> lines_; ///< numSets_ * assoc, set-major
+    std::uint32_t setShift_;
+    /// numSets_ * assoc, set-major; an empty way holds emptyTag
+    std::vector<std::uint64_t> tags_;
+    /// last-use clock per way; 0 marks an empty way
+    std::vector<std::uint64_t> stamps_;
     CacheStats stats_;
     std::uint64_t useClock_ = 0;
 
-    bool lookupInsert(std::uint64_t line_addr);
+    /**
+     * Look up @p line_addr in its set, inserting it on a miss.
+     * The tag match scans every way without an early exit; the LRU
+     * victim (the smallest stamp, so an empty way first) is only
+     * searched for on a miss.
+     */
+    bool
+    lookupInsert(std::uint64_t line_addr)
+    {
+        const std::uint32_t assoc = config_.assoc;
+        const std::size_t base =
+            static_cast<std::size_t>(line_addr & (numSets_ - 1)) *
+            assoc;
+        const std::uint64_t tag = line_addr >> setShift_;
+        std::uint64_t *tags = &tags_[base];
+        std::uint64_t *stamps = &stamps_[base];
+        ++useClock_;
+
+        std::uint32_t way = assoc;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            way = tags[w] == tag ? w : way;
+        if (way != assoc) {
+            stamps[way] = useClock_;
+            return true;
+        }
+
+        std::uint32_t victim = 0;
+        std::uint64_t oldest = stamps[0];
+        for (std::uint32_t w = 1; w < assoc; ++w) {
+            const bool older = stamps[w] < oldest;
+            oldest = older ? stamps[w] : oldest;
+            victim = older ? w : victim;
+        }
+        tags[victim] = tag;
+        stamps[victim] = useClock_;
+        return false;
+    }
 };
 
 } // namespace av::uarch

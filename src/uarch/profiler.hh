@@ -14,6 +14,11 @@
  *    miss rates reflect the real data structures the algorithm
  *    touched (the paper's PAPI/valgrind step, §III-B).
  *
+ * The probes inline all the way into the cache and branch models. Their
+ * traced bodies are marked [[unlikely]], so the compiler lays them out
+ * away from the detached fast path, which keeps only the tracing()
+ * test.
+ *
  * Convention: addOps() supplies the dynamic instruction counts;
  * load()/store()/branch() supply *behaviour* (addresses, outcomes)
  * and do not count instructions, so instrumenting only the hot loop
@@ -219,7 +224,7 @@ class KernelProfiler
     void
     load(Region region, std::uint64_t offset, std::uint32_t bytes)
     {
-        if (tracing())
+        if (tracing()) [[unlikely]]
             state_->recordLoad(logicalAddr(region, offset), bytes);
     }
 
@@ -227,7 +232,7 @@ class KernelProfiler
     void
     store(Region region, std::uint64_t offset, std::uint32_t bytes)
     {
-        if (tracing())
+        if (tracing()) [[unlikely]]
             state_->recordStore(logicalAddr(region, offset), bytes);
     }
 
@@ -235,7 +240,7 @@ class KernelProfiler
     void
     branch(std::uint64_t site, bool taken)
     {
-        if (tracing())
+        if (tracing()) [[unlikely]]
             state_->recordBranch(site, taken);
     }
 
@@ -246,7 +251,7 @@ class KernelProfiler
     void
     hotLoads(std::uint64_t n)
     {
-        if (tracing())
+        if (tracing()) [[unlikely]]
             state_->recordHotLoads(n);
     }
 
@@ -254,7 +259,7 @@ class KernelProfiler
     void
     hotStores(std::uint64_t n)
     {
-        if (tracing())
+        if (tracing()) [[unlikely]]
             state_->recordHotStores(n);
     }
 
@@ -262,7 +267,7 @@ class KernelProfiler
     void
     bulkBranches(std::uint64_t count)
     {
-        if (tracing())
+        if (tracing()) [[unlikely]]
             state_->recordBulkBranches(count);
     }
 
