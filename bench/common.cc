@@ -1,8 +1,5 @@
 #include "common.hh"
 
-#include <cstdlib>
-#include <iostream>
-#include <stdexcept>
 #include <utility>
 
 #include "util/logging.hh"
@@ -10,24 +7,6 @@
 namespace av::bench {
 
 namespace {
-
-/**
- * Parse argv, turning a diagnostic into exit(2). BenchOptions
- * throws so the message is unit-testable; a bench binary just wants
- * the text on stderr and a conventional usage-error status.
- */
-BenchOptions
-parsed(BenchOptions options, int argc, char **argv)
-{
-    try {
-        options.parse(argc, argv);
-    } catch (const std::invalid_argument &error) {
-        std::cerr << (argc > 0 ? argv[0] : "bench") << ": "
-                  << error.what() << "\n";
-        std::exit(2);
-    }
-    return options;
-}
 
 std::vector<ros::TransportMode>
 parseTransportModes(const BenchOptions &options)
@@ -56,7 +35,7 @@ BenchEnv::runnerConfig(const BenchOptions &options)
 }
 
 BenchEnv::BenchEnv(int argc, char **argv, BenchOptions options)
-    : options_(parsed(std::move(options), argc, argv)),
+    : options_(std::move(options.parseOrExit(argc, argv))),
       runner_(runnerConfig(options_))
 {
     csv_ = options_.flag("csv");

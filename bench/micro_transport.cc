@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "hw/machine.hh"
+#include "options.hh"
 #include "ros/ros.hh"
 #include "ros/spsc_ring.hh"
-#include "util/flags.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -156,17 +156,25 @@ ringTwoThreads(std::size_t ops)
 int
 main(int argc, char **argv)
 {
-    const util::Flags flags(
-        argc, argv, {"smoke", "messages", "words", "subs", "ops"});
-    const bool smoke = flags.getBool("smoke");
-    const auto messages = static_cast<std::size_t>(
-        flags.getInt("messages", smoke ? 50 : 2000));
-    const auto words = static_cast<std::size_t>(
-        flags.getInt("words", smoke ? 1u << 12 : 1u << 17));
-    const auto subs = static_cast<unsigned>(
-        flags.getInt("subs", 3));
-    const auto ops = static_cast<std::size_t>(
-        flags.getInt("ops", smoke ? 20000 : 2000000));
+    bench::BenchOptions options =
+        bench::BenchOptions()
+            .flag("smoke", "shrink every size (sanitizer smoke run)")
+            .integer("messages", 2000, "messages per transport mode")
+            .integer("words", 1 << 17, "64-bit words per payload")
+            .integer("subs", 3, "subscribers to the fan-out topic")
+            .integer("ops", 2000000, "SPSC ring operations");
+    options.parseOrExit(argc, argv);
+    const bool smoke = options.flag("smoke");
+    // --smoke shrinks every size the command line left unset.
+    const auto size = [&](const char *name, long smokeValue) {
+        return static_cast<std::size_t>(
+            smoke && !options.given(name) ? smokeValue
+                                          : options.integer(name));
+    };
+    const std::size_t messages = size("messages", 50);
+    const std::size_t words = size("words", 1 << 12);
+    const auto subs = static_cast<unsigned>(options.integer("subs"));
+    const std::size_t ops = size("ops", 20000);
 
     std::printf("micro_transport: %zu messages x %zu words x %u "
                 "subscribers%s\n",

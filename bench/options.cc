@@ -1,6 +1,7 @@
 #include "options.hh"
 
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -198,6 +199,18 @@ BenchOptions::parse(int argc, char **argv)
         opt->given = true;
     }
     return *this;
+}
+
+BenchOptions &
+BenchOptions::parseOrExit(int argc, char **argv)
+{
+    try {
+        return parse(argc, argv);
+    } catch (const std::invalid_argument &error) {
+        std::cerr << (argc > 0 ? argv[0] : "bench") << ": "
+                  << error.what() << "\n";
+        std::exit(2);
+    }
 }
 
 const BenchOptions::Option &

@@ -9,16 +9,13 @@
  *   opts.parse(argc, argv);
  *   if (opts.flag("smoke")) ...
  *
- * This replaces the hand-rolled util::Flags parsing the benches grew
- * up on. The differences that matter:
- *
  *  - Options are *typed at declaration*: "--jobs abc" is rejected at
  *    parse time with a diagnostic naming the flag and the offending
- *    value, instead of strtol silently yielding 0.
+ *    value.
  *  - Errors *throw std::invalid_argument* (message includes the full
- *    usage text) instead of aborting the process, so the diagnostics
- *    are unit-testable (tests/bench/test_options.cc). BenchEnv turns
- *    the exception into exit(2) for the actual binaries.
+ *    usage text), so the diagnostics are unit-testable
+ *    (tests/bench/test_options.cc). parseOrExit() turns the
+ *    exception into exit(2) for the actual binaries.
  *  - The common flag set (--duration/--seed/--csv/--jobs/--cache-dir/
  *    --no-cache/--transport/--trace) is declared once in
  *    commonOptions() and shared by every bench.
@@ -68,6 +65,12 @@ class BenchOptions
      * type.
      */
     BenchOptions &parse(int argc, char **argv);
+
+    /**
+     * parse(), except that a diagnostic goes to stderr and the
+     * process exits with status 2: what a binary wants.
+     */
+    BenchOptions &parseOrExit(int argc, char **argv);
 
     // ---- typed getters (valid after parse; fall back before) ----
 

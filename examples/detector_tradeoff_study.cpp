@@ -16,7 +16,7 @@
 #include <set>
 
 #include "core/characterization.hh"
-#include "util/flags.hh"
+#include "options.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -25,13 +25,15 @@ using namespace av;
 int
 main(int argc, char **argv)
 {
-    const util::Flags flags(argc, argv, {"duration", "seed"});
+    bench::BenchOptions options =
+        bench::BenchOptions()
+            .integer("duration", 60, "drive length in seconds")
+            .integer("seed", 2020, "scenario seed");
+    options.parseOrExit(argc, argv);
     world::ScenarioConfig scenario;
-    scenario.seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 2020));
-    const auto duration = static_cast<sim::Tick>(
-                              flags.getInt("duration", 60)) *
-                          sim::oneSec;
+    scenario.seed = static_cast<std::uint64_t>(options.integer("seed"));
+    const auto duration =
+        static_cast<sim::Tick>(options.integer("duration")) * sim::oneSec;
     auto drive = prof::makeDrive(scenario, duration);
 
     util::Table table(

@@ -6,450 +6,462 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <vector>
+
+#include "util/hash.hh"
 
 namespace av::exp {
 
 namespace {
 
-// ---- bit-exact double encoding ----------------------------------
-
-std::string
-encF(double value)
-{
-    static const char digits[] = "0123456789abcdef";
-    auto bits = std::bit_cast<std::uint64_t>(value);
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[bits & 0xf];
-        bits >>= 4;
-    }
-    return out;
-}
-
-bool
-decF(const std::string &token, double &out)
-{
-    if (token.size() != 16)
-        return false;
-    std::uint64_t bits = 0;
-    for (char c : token) {
-        std::uint64_t digit = 0;
-        if (c >= '0' && c <= '9')
-            digit = static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            digit = static_cast<std::uint64_t>(c - 'a') + 10;
-        else
-            return false;
-        bits = (bits << 4) | digit;
-    }
-    out = std::bit_cast<double>(bits);
-    return true;
-}
-
-// ---- writer helpers ---------------------------------------------
-
-void
-putStats(std::ostream &os, const util::RunningStats &stats)
-{
-    const util::RunningStats::State s = stats.state();
-    os << ' ' << s.n << ' ' << encF(s.mean) << ' ' << encF(s.m2)
-       << ' ' << encF(s.sum) << ' ' << encF(s.min) << ' '
-       << encF(s.max);
-}
-
-void
-putSeries(std::ostream &os, const std::string &name,
-          const util::SampleSeries &series)
-{
-    os << name;
-    putStats(os, series.running());
-    const std::vector<double> &kept = series.samples();
-    os << ' ' << kept.size();
-    for (double v : kept)
-        os << ' ' << encF(v);
-    os << '\n';
-}
-
-// ---- reader helpers ---------------------------------------------
-
-bool
-getF(std::istream &is, double &out)
-{
-    std::string token;
-    return (is >> token) && decF(token, out);
-}
-
-/**
- * Read an element count, rejecting anything implausibly large: a
- * corrupted count field must make the entry a cache miss, not drive
- * a multi-gigabyte resize(). Real entries stay far below the bound
- * (a run has ~10 nodes and series keep at most a few thousand
- * samples).
- */
-bool
-getCount(std::istream &is, std::size_t &out)
-{
-    constexpr std::size_t kMaxCount = 1u << 20;
-    return (is >> out) && out <= kMaxCount;
-}
-
-bool
-getStats(std::istream &is, util::RunningStats &out)
-{
-    util::RunningStats::State s;
-    if (!(is >> s.n))
-        return false;
-    if (!getF(is, s.mean) || !getF(is, s.m2) || !getF(is, s.sum) ||
-        !getF(is, s.min) || !getF(is, s.max))
-        return false;
-    out = util::RunningStats::fromState(s);
-    return true;
-}
-
-bool
-getSeries(std::istream &is, prof::NamedSeries &out)
-{
-    util::RunningStats::State s;
-    if (!(is >> out.name >> s.n))
-        return false;
-    if (!getF(is, s.mean) || !getF(is, s.m2) || !getF(is, s.sum) ||
-        !getF(is, s.min) || !getF(is, s.max))
-        return false;
-    std::size_t kept = 0;
-    if (!getCount(is, kept))
-        return false;
-    std::vector<double> samples(kept);
-    for (std::size_t i = 0; i < kept; ++i)
-        if (!getF(is, samples[i]))
-            return false;
-    out.series =
-        util::SampleSeries::fromState(s, std::move(samples));
-    return true;
-}
-
-/** Expect the literal section keyword @p word next. */
-bool
-expect(std::istream &is, const char *word)
-{
-    std::string token;
-    return (is >> token) && token == word;
-}
+// ---- the entry format, described once -----------------------------
+//
+// An entry is whitespace-separated tokens, one record per line. Each
+// visit() below is the single description of one type's fields; a
+// Writer walks it over const data to produce an entry and a Reader
+// walks the same description over mutable data to parse one. Every
+// visit destructures its struct into all of its fields, so a field
+// added to a persisted type without being visited here fails to
+// compile. Doubles are the hex of their IEEE bit pattern, so a
+// reloaded result is bit-identical to the stored one.
 
 constexpr const char *kMagic = "avscope-result";
 constexpr int kVersion = 5; // v5: safety-violations section
 
-void
-serialize(std::ostream &os, const prof::RunResult &run)
+/**
+ * Largest element count a Reader accepts: a corrupted count field
+ * makes the entry a miss. Real entries stay far below it (a run has
+ * ~10 nodes and series keep at most a few thousand samples).
+ */
+constexpr std::size_t kMaxCount = 1u << 20;
+
+// Enum fields persist as their stable names; an unknown name on read
+// makes the entry a miss.
+
+const char *
+nameOf(fault::FaultKind kind)
 {
-    os << kMagic << ' ' << kVersion << '\n';
-    os << "label " << run.label << '\n';
-
-    os << "nodes " << run.nodes.size() << '\n';
-    for (const prof::NamedSeries &row : run.nodes)
-        putSeries(os, row.name, row.series);
-
-    os << "paths " << run.paths.size() << '\n';
-    for (const prof::NamedSeries &row : run.paths)
-        putSeries(os, row.name, row.series);
-
-    os << "drops " << run.drops.size() << '\n';
-    for (const prof::DropRow &row : run.drops)
-        os << row.topic << ' ' << row.node << ' ' << row.delivered
-           << ' ' << row.dropped << '\n';
-
-    os << "counters " << run.counters.size() << '\n';
-    for (const prof::CounterRow &row : run.counters) {
-        os << row.node << ' ' << encF(row.ipc) << ' '
-           << encF(row.l1ReadMissRate) << ' '
-           << encF(row.l1WriteMissRate) << ' '
-           << encF(row.branchMissRate);
-        os << ' ' << row.mix.loads << ' ' << row.mix.stores << ' '
-           << row.mix.branches << ' ' << row.mix.intAlu << ' '
-           << row.mix.fpAlu << ' ' << row.mix.fpDiv << ' '
-           << row.mix.simd << ' ' << row.mix.other << '\n';
-    }
-
-    os << "utilization " << run.utilization.size() << '\n';
-    for (const prof::UtilizationResult &row : run.utilization) {
-        os << row.owner;
-        putStats(os, row.cpuShare);
-        putStats(os, row.gpuShare);
-        os << '\n';
-    }
-
-    os << "totals";
-    putStats(os, run.totalCpu);
-    putStats(os, run.totalGpu);
-    os << '\n';
-
-    os << "power";
-    putStats(os, run.cpuWatts);
-    putStats(os, run.gpuWatts);
-    os << ' ' << encF(run.cpuEnergyJ) << ' ' << encF(run.gpuEnergyJ)
-       << '\n';
-
-    os << "cpuowners " << run.cpuSecondsByOwner.size() << '\n';
-    for (const auto &[owner, seconds] : run.cpuSecondsByOwner)
-        os << owner << ' ' << encF(seconds) << '\n';
-    os << "gpuowners " << run.gpuSecondsByOwner.size() << '\n';
-    for (const auto &[owner, seconds] : run.gpuSecondsByOwner)
-        os << owner << ' ' << encF(seconds) << '\n';
-
-    os << "staleness " << run.staleness.size() << '\n';
-    for (const prof::NamedSeries &row : run.staleness)
-        putSeries(os, row.name, row.series);
-
-    os << "resilience " << run.resilience.size() << '\n';
-    for (const auto &[name, value] : run.resilience)
-        os << name << ' ' << encF(value) << '\n';
-
-    // Every fault field is token-safe: labels, kind names and topic
-    // names carry no whitespace by construction.
-    os << "faults " << run.faults.size() << '\n';
-    for (const fault::FaultOutcome &row : run.faults) {
-        os << row.label << ' ' << fault::faultKindName(row.kind)
-           << ' ' << row.onset << ' ' << row.windowEnd << ' '
-           << row.watchTopic << ' ' << row.publishedDuringWindow
-           << ' ' << encF(row.recoveryMs) << ' ' << row.suppressed
-           << ' ' << row.corrupted << ' ' << row.duplicated << ' '
-           << row.delayed << '\n';
-    }
-
-    // Violation subjects are token-safe by construction (topic
-    // names or "actor_<id>"); values are bit-exact.
-    os << "violations " << run.violations.size() << '\n';
-    for (const stack::SafetyViolation &row : run.violations)
-        os << stack::invariantName(row.kind) << ' ' << row.time
-           << ' ' << row.subject << ' ' << encF(row.value) << ' '
-           << encF(row.bound) << '\n';
-
-    os << "transport " << run.transportMode << ' '
-       << run.transport.published << ' ' << run.transport.deliveries
-       << ' ' << run.transport.payloadCopies << ' '
-       << run.transport.loanedDeliveries << ' '
-       << run.transport.movedPublishes << ' '
-       << run.transport.forcedCopies << '\n';
-
-    // Topic/node names and bottleneck labels are token-safe; the
-    // empty terminal topic serializes as "-". Doubles are bit-exact
-    // (encF), so a traced result round-trips byte-identically —
-    // which is what the cross-jobs/cross-transport determinism
-    // tests compare.
-    os << "trace " << (run.trace.enabled ? 1 : 0) << ' '
-       << run.trace.events << ' ' << encF(run.trace.criticalPathMs)
-       << ' '
-       << (run.trace.terminalTopic.empty()
-               ? "-"
-               : run.trace.terminalTopic)
-       << '\n';
-    os << "tracepath " << run.trace.criticalPath.size() << '\n';
-    for (const trace::PathStep &step : run.trace.criticalPath)
-        os << step.node << ' ' << step.topic << ' ' << step.seq
-           << ' ' << encF(step.queueWaitMs) << ' '
-           << encF(step.computeMs) << '\n';
-    os << "traceslack " << run.trace.nodes.size() << '\n';
-    for (const trace::NodeSlack &row : run.trace.nodes)
-        os << row.node << ' ' << row.activations << ' '
-           << encF(row.meanQueueWaitMs) << ' '
-           << encF(row.meanSpanMs) << ' ' << encF(row.meanCpuMs)
-           << ' ' << encF(row.meanGpuMs) << ' '
-           << encF(row.meanStallMs) << ' ' << row.bottleneck
-           << '\n';
-    os << "traceedges " << run.trace.edges.size() << '\n';
-    for (const trace::EdgeUse &edge : run.trace.edges)
-        os << edge.topic << ' ' << edge.from << ' ' << edge.to
-           << ' ' << edge.messages << '\n';
-    os << "end\n";
+    return fault::faultKindName(kind);
 }
 
 bool
-parse(std::istream &is, prof::RunResult &run)
+fromName(const std::string &name, fault::FaultKind &out)
 {
-    std::string magic;
-    int version = 0;
-    if (!(is >> magic >> version) || magic != kMagic ||
-        version != kVersion)
-        return false;
+    return fault::faultKindFromName(name, out);
+}
 
-    // The label is the remainder of its line (it may hold spaces).
-    if (!expect(is, "label"))
-        return false;
-    std::getline(is, run.label);
-    if (!run.label.empty() && run.label.front() == ' ')
-        run.label.erase(0, 1);
+const char *
+nameOf(stack::InvariantKind kind)
+{
+    return stack::invariantName(kind);
+}
 
-    std::size_t count = 0;
-    if (!expect(is, "nodes") || !getCount(is, count))
-        return false;
-    run.nodes.resize(count);
-    for (prof::NamedSeries &row : run.nodes)
-        if (!getSeries(is, row))
-            return false;
+bool
+fromName(const std::string &name, stack::InvariantKind &out)
+{
+    return stack::invariantFromName(name, out);
+}
 
-    if (!expect(is, "paths") || !getCount(is, count))
-        return false;
-    run.paths.resize(count);
-    for (prof::NamedSeries &row : run.paths)
-        if (!getSeries(is, row))
-            return false;
+/** Serializing archive over const data. */
+class Writer
+{
+  public:
+    static constexpr bool kReading = false;
 
-    if (!expect(is, "drops") || !getCount(is, count))
-        return false;
-    run.drops.resize(count);
-    for (prof::DropRow &row : run.drops)
-        if (!(is >> row.topic >> row.node >> row.delivered >>
-              row.dropped))
-            return false;
+    explicit Writer(std::ostream &os) : os_(os) {}
 
-    if (!expect(is, "counters") || !getCount(is, count))
-        return false;
-    run.counters.resize(count);
-    for (prof::CounterRow &row : run.counters) {
-        if (!(is >> row.node))
-            return false;
-        if (!getF(is, row.ipc) || !getF(is, row.l1ReadMissRate) ||
-            !getF(is, row.l1WriteMissRate) ||
-            !getF(is, row.branchMissRate))
-            return false;
-        if (!(is >> row.mix.loads >> row.mix.stores >>
-              row.mix.branches >> row.mix.intAlu >> row.mix.fpAlu >>
-              row.mix.fpDiv >> row.mix.simd >> row.mix.other))
-            return false;
+    /** Write each value as one token (structs via their visit()). */
+    template <class... T>
+    void fields(const T &...values)
+    {
+        (field(values), ...);
     }
 
-    if (!expect(is, "utilization") || !getCount(is, count))
-        return false;
-    run.utilization.resize(count);
-    for (prof::UtilizationResult &row : run.utilization) {
-        if (!(is >> row.owner))
-            return false;
-        if (!getStats(is, row.cpuShare) ||
-            !getStats(is, row.gpuShare))
-            return false;
+    /** A string token; an empty @p value writes @p ifEmpty instead. */
+    void text(const std::string &value, const char *ifEmpty)
+    {
+        token(value.empty() ? ifEmpty : value.c_str());
     }
 
-    if (!expect(is, "totals") || !getStats(is, run.totalCpu) ||
-        !getStats(is, run.totalGpu))
-        return false;
-
-    if (!expect(is, "power") || !getStats(is, run.cpuWatts) ||
-        !getStats(is, run.gpuWatts) || !getF(is, run.cpuEnergyJ) ||
-        !getF(is, run.gpuEnergyJ))
-        return false;
-
-    if (!expect(is, "cpuowners") || !getCount(is, count))
-        return false;
-    run.cpuSecondsByOwner.resize(count);
-    for (auto &[owner, seconds] : run.cpuSecondsByOwner)
-        if (!(is >> owner) || !getF(is, seconds))
-            return false;
-    if (!expect(is, "gpuowners") || !getCount(is, count))
-        return false;
-    run.gpuSecondsByOwner.resize(count);
-    for (auto &[owner, seconds] : run.gpuSecondsByOwner)
-        if (!(is >> owner) || !getF(is, seconds))
-            return false;
-
-    if (!expect(is, "staleness") || !getCount(is, count))
-        return false;
-    run.staleness.resize(count);
-    for (prof::NamedSeries &row : run.staleness)
-        if (!getSeries(is, row))
-            return false;
-
-    if (!expect(is, "resilience") || !getCount(is, count))
-        return false;
-    run.resilience.resize(count);
-    for (auto &[name, value] : run.resilience)
-        if (!(is >> name) || !getF(is, value))
-            return false;
-
-    if (!expect(is, "faults") || !getCount(is, count))
-        return false;
-    run.faults.resize(count);
-    for (fault::FaultOutcome &row : run.faults) {
-        std::string kind;
-        if (!(is >> row.label >> kind))
-            return false;
-        if (!fault::faultKindFromName(kind, row.kind))
-            return false;
-        if (!(is >> row.onset >> row.windowEnd >> row.watchTopic >>
-              row.publishedDuringWindow))
-            return false;
-        if (!getF(is, row.recoveryMs))
-            return false;
-        if (!(is >> row.suppressed >> row.corrupted >>
-              row.duplicated >> row.delayed))
-            return false;
+    /** @p value as the rest of the line (it may hold spaces). */
+    void line(const std::string &value)
+    {
+        os_ << ' ' << value;
+        endl();
     }
 
-    if (!expect(is, "violations") || !getCount(is, count))
-        return false;
-    run.violations.resize(count);
-    for (stack::SafetyViolation &row : run.violations) {
-        std::string kind;
-        if (!(is >> kind) ||
-            !stack::invariantFromName(kind, row.kind))
-            return false;
-        if (!(is >> row.time >> row.subject) ||
-            !getF(is, row.value) || !getF(is, row.bound))
-            return false;
+    void endl()
+    {
+        os_ << '\n';
+        fresh_ = true;
     }
 
-    if (!expect(is, "transport"))
-        return false;
-    ros::TransportMode mode;
-    if (!(is >> run.transportMode) ||
-        !ros::transportModeFromName(run.transportMode, mode))
-        return false;
-    if (!(is >> run.transport.published >>
-          run.transport.deliveries >>
-          run.transport.payloadCopies >>
-          run.transport.loanedDeliveries >>
-          run.transport.movedPublishes >>
-          run.transport.forcedCopies))
-        return false;
-
-    int traced = 0;
-    if (!expect(is, "trace") || !(is >> traced >> run.trace.events))
-        return false;
-    run.trace.enabled = traced != 0;
-    if (!getF(is, run.trace.criticalPathMs) ||
-        !(is >> run.trace.terminalTopic))
-        return false;
-    if (run.trace.terminalTopic == "-")
-        run.trace.terminalTopic.clear();
-    if (!expect(is, "tracepath") || !getCount(is, count))
-        return false;
-    run.trace.criticalPath.resize(count);
-    for (trace::PathStep &step : run.trace.criticalPath) {
-        if (!(is >> step.node >> step.topic >> step.seq) ||
-            !getF(is, step.queueWaitMs) ||
-            !getF(is, step.computeMs))
-            return false;
-    }
-    if (!expect(is, "traceslack") || !getCount(is, count))
-        return false;
-    run.trace.nodes.resize(count);
-    for (trace::NodeSlack &row : run.trace.nodes) {
-        if (!(is >> row.node >> row.activations) ||
-            !getF(is, row.meanQueueWaitMs) ||
-            !getF(is, row.meanSpanMs) || !getF(is, row.meanCpuMs) ||
-            !getF(is, row.meanGpuMs) || !getF(is, row.meanStallMs) ||
-            !(is >> row.bottleneck))
-            return false;
-    }
-    if (!expect(is, "traceedges") || !getCount(is, count))
-        return false;
-    run.trace.edges.resize(count);
-    for (trace::EdgeUse &edge : run.trace.edges) {
-        if (!(is >> edge.topic >> edge.from >> edge.to >>
-              edge.messages))
-            return false;
+    /** The element count, then @p each over every element. */
+    template <class T, class Each>
+    void list(const std::vector<T> &items, Each each)
+    {
+        field(items.size());
+        for (const T &item : items)
+            each(item);
     }
 
-    return expect(is, "end");
+    /** A check only the Reader performs. */
+    void require(bool) {}
+
+  private:
+    std::ostream &os_;
+    bool fresh_ = true; ///< at the start of a line
+
+    template <class T>
+    void token(const T &value)
+    {
+        if (!fresh_)
+            os_ << ' ';
+        fresh_ = false;
+        os_ << value;
+    }
+
+    template <class T>
+    void field(const T &value)
+    {
+        if constexpr (std::is_same_v<T, double>)
+            token(util::hex16(std::bit_cast<std::uint64_t>(value)));
+        else if constexpr (std::is_enum_v<T>)
+            token(nameOf(value));
+        else if constexpr (std::is_arithmetic_v<T> ||
+                           std::is_same_v<T, std::string>)
+            token(value);
+        else
+            visit(*this, value);
+    }
+};
+
+/**
+ * Parsing archive over mutable data. Failure is sticky: after the
+ * first mismatch every operation is a no-op and ok() stays false, so
+ * any malformed, truncated or stale entry is a miss.
+ */
+class Reader
+{
+  public:
+    static constexpr bool kReading = true;
+
+    explicit Reader(std::istream &is) : is_(is) {}
+
+    bool ok() const { return ok_; }
+
+    /** Read each value from one token (structs via their visit()). */
+    template <class... T>
+    void fields(T &...values)
+    {
+        (field(values), ...);
+    }
+
+    void text(std::string &value, const char *ifEmpty)
+    {
+        field(value);
+        if (value == ifEmpty)
+            value.clear();
+    }
+
+    void line(std::string &value)
+    {
+        if (!ok_)
+            return;
+        require(static_cast<bool>(std::getline(is_, value)));
+        if (!value.empty() && value.front() == ' ')
+            value.erase(0, 1);
+    }
+
+    /** Lines are part of the format: a record must end here. */
+    void endl() { require(is_.get() == '\n'); }
+
+    /**
+     * Read a bounded count, then @p each over that many appended
+     * elements. Elements are appended one by one, so a count larger
+     * than the entry's actual content fails at its end instead of
+     * allocating the whole count up front.
+     */
+    template <class T, class Each>
+    void list(std::vector<T> &items, Each each)
+    {
+        std::size_t count = 0;
+        field(count);
+        require(count <= kMaxCount);
+        items.clear();
+        for (std::size_t i = 0; ok_ && i < count; ++i)
+            each(items.emplace_back());
+    }
+
+    void require(bool condition) { ok_ = ok_ && condition; }
+
+  private:
+    std::istream &is_;
+    bool ok_ = true;
+
+    template <class T>
+    void field(T &value)
+    {
+        if (!ok_)
+            return;
+        if constexpr (std::is_same_v<T, double>) {
+            std::string token;
+            std::uint64_t bits = 0;
+            require((is_ >> token) && util::parseHex16(token, bits));
+            value = std::bit_cast<double>(bits);
+        } else if constexpr (std::is_enum_v<T>) {
+            std::string token;
+            require((is_ >> token) && fromName(token, value));
+        } else if constexpr (std::is_arithmetic_v<T> ||
+                             std::is_same_v<T, std::string>) {
+            require(static_cast<bool>(is_ >> value));
+        } else {
+            visit(*this, value);
+        }
+    }
+};
+
+/** T as the archive sees it: const for the Writer. */
+template <class Archive, class T>
+using Data = std::conditional_t<Archive::kReading, T, const T>;
+
+/** A literal token: written as-is, required verbatim on read. */
+template <class Archive>
+void
+keyword(Archive &a, const char *word)
+{
+    std::string token = word;
+    a.fields(token);
+    a.require(token == word);
+}
+
+/** "<word> <count>" then one record per line. */
+template <class Archive, class Rows>
+void
+section(Archive &a, const char *word, Rows &rows)
+{
+    keyword(a, word);
+    a.list(rows, [&a](auto &row) {
+        a.endl();
+        a.fields(row);
+    });
+    a.endl();
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, util::RunningStats::State> &s)
+{
+    auto &[n, mean, m2, sum, min, max] = s;
+    a.fields(n, mean, m2, sum, min, max);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, util::RunningStats> &stats)
+{
+    util::RunningStats::State state = stats.state();
+    a.fields(state);
+    if constexpr (Archive::kReading)
+        stats = util::RunningStats::fromState(state);
+}
+
+/** Streaming stats, then the retained samples on the same line. */
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, util::SampleSeries> &series)
+{
+    util::RunningStats::State state = series.running().state();
+    a.fields(state);
+    const auto sample = [&a](auto &value) { a.fields(value); };
+    if constexpr (Archive::kReading) {
+        std::vector<double> kept;
+        a.list(kept, sample);
+        series = util::SampleSeries::fromState(state, std::move(kept));
+    } else {
+        a.list(series.samples(), sample);
+    }
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, prof::NamedSeries> &row)
+{
+    auto &[name, series] = row;
+    a.fields(name, series);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, std::pair<std::string, double>> &row)
+{
+    auto &[name, value] = row;
+    a.fields(name, value);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, prof::DropRow> &row)
+{
+    auto &[topic, node, delivered, dropped] = row;
+    a.fields(topic, node, delivered, dropped);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, uarch::OpCounts> &mix)
+{
+    auto &[loads, stores, branches, intAlu, fpAlu, fpDiv, simd, other] =
+        mix;
+    a.fields(loads, stores, branches, intAlu, fpAlu, fpDiv, simd, other);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, prof::CounterRow> &row)
+{
+    auto &[node, ipc, l1ReadMissRate, l1WriteMissRate, branchMissRate,
+           mix] = row;
+    a.fields(node, ipc, l1ReadMissRate, l1WriteMissRate, branchMissRate,
+             mix);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, prof::UtilizationResult> &row)
+{
+    auto &[owner, cpuShare, gpuShare] = row;
+    a.fields(owner, cpuShare, gpuShare);
+}
+
+// Fault labels, kind names and watch topics are token-safe by
+// construction (no whitespace).
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, fault::FaultOutcome> &row)
+{
+    auto &[label, kind, onset, windowEnd, watchTopic,
+           publishedDuringWindow, recoveryMs, suppressed, corrupted,
+           duplicated, delayed] = row;
+    a.fields(label, kind, onset, windowEnd, watchTopic,
+             publishedDuringWindow, recoveryMs, suppressed, corrupted,
+             duplicated, delayed);
+}
+
+// Violation subjects are token-safe by construction (topic names or
+// "actor_<id>").
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, stack::SafetyViolation> &row)
+{
+    auto &[kind, time, subject, value, bound] = row;
+    a.fields(kind, time, subject, value, bound);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, ros::TransportCounters> &c)
+{
+    auto &[published, deliveries, payloadCopies, loanedDeliveries,
+           movedPublishes, forcedCopies] = c;
+    a.fields(published, deliveries, payloadCopies, loanedDeliveries,
+             movedPublishes, forcedCopies);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, trace::PathStep> &step)
+{
+    auto &[node, topic, seq, queueWaitMs, computeMs] = step;
+    a.fields(node, topic, seq, queueWaitMs, computeMs);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, trace::NodeSlack> &row)
+{
+    auto &[node, activations, meanQueueWaitMs, meanSpanMs, meanCpuMs,
+           meanGpuMs, meanStallMs, bottleneck] = row;
+    a.fields(node, activations, meanQueueWaitMs, meanSpanMs, meanCpuMs,
+             meanGpuMs, meanStallMs, bottleneck);
+}
+
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, trace::EdgeUse> &edge)
+{
+    auto &[topic, from, to, messages] = edge;
+    a.fields(topic, from, to, messages);
+}
+
+/**
+ * Topic/node names and bottleneck labels are token-safe; the empty
+ * terminal topic is written as "-".
+ */
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, trace::Summary> &summary)
+{
+    auto &[enabled, events, criticalPathMs, terminalTopic, criticalPath,
+           nodes, edges] = summary;
+    keyword(a, "trace");
+    a.fields(enabled, events, criticalPathMs);
+    a.text(terminalTopic, "-");
+    a.endl();
+    section(a, "tracepath", criticalPath);
+    section(a, "traceslack", nodes);
+    section(a, "traceedges", edges);
+}
+
+/** The whole entry, in file order. */
+template <class Archive>
+void
+visit(Archive &a, Data<Archive, prof::RunResult> &run)
+{
+    auto &[label, nodes, paths, drops, counters, utilization, totalCpu,
+           totalGpu, cpuWatts, gpuWatts, cpuEnergyJ, gpuEnergyJ,
+           cpuSecondsByOwner, gpuSecondsByOwner, faults, staleness,
+           resilience, violations, transportMode, transport, trace] =
+        run;
+
+    int version = kVersion;
+    keyword(a, kMagic);
+    a.fields(version);
+    a.require(version == kVersion);
+    a.endl();
+    keyword(a, "label");
+    a.line(label);
+
+    section(a, "nodes", nodes);
+    section(a, "paths", paths);
+    section(a, "drops", drops);
+    section(a, "counters", counters);
+    section(a, "utilization", utilization);
+    keyword(a, "totals");
+    a.fields(totalCpu, totalGpu);
+    a.endl();
+    keyword(a, "power");
+    a.fields(cpuWatts, gpuWatts, cpuEnergyJ, gpuEnergyJ);
+    a.endl();
+    section(a, "cpuowners", cpuSecondsByOwner);
+    section(a, "gpuowners", gpuSecondsByOwner);
+    section(a, "staleness", staleness);
+    section(a, "resilience", resilience);
+    section(a, "faults", faults);
+    section(a, "violations", violations);
+
+    keyword(a, "transport");
+    a.fields(transportMode);
+    ros::TransportMode mode = ros::TransportMode::Loan;
+    a.require(ros::transportModeFromName(transportMode, mode));
+    a.fields(transport);
+    a.endl();
+
+    a.fields(trace);
+    keyword(a, "end");
+    a.endl();
 }
 
 } // namespace
@@ -475,7 +487,9 @@ ResultCache::load(const std::string &key) const
     if (!is)
         return std::nullopt;
     prof::RunResult run;
-    if (!parse(is, run))
+    Reader reader(is);
+    visit(reader, run);
+    if (!reader.ok())
         return std::nullopt;
     return run;
 }
@@ -500,7 +514,8 @@ ResultCache::store(const std::string &key,
         std::ofstream os(temp, std::ios::trunc);
         if (!os)
             return false;
-        serialize(os, result);
+        Writer writer(os);
+        visit(writer, result);
         if (!os.flush())
             return false;
     }

@@ -1,232 +1,145 @@
 #include "exp/experiment.hh"
 
-#include <bit>
-#include <cstdint>
+#include "util/hash.hh"
 
 namespace av::exp {
 
 namespace {
 
-/**
- * Streaming 64-bit FNV-1a over a canonical field encoding. Every
- * value is folded as its exact bit pattern (doubles via bit_cast, so
- * -0.0 vs 0.0 and every NaN payload are distinct — bit-identical in,
- * bit-identical out), and each struct boundary is salted with a tag
- * string so field sequences from adjacent structs cannot alias.
- */
-class Hasher
-{
-  public:
-    void bytes(const void *data, std::size_t size)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i) {
-            hash_ ^= p[i];
-            hash_ *= 1099511628211ULL;
-        }
-    }
+// Each fold destructures its struct into every field, so a field
+// added to a config without being folded here fails to compile
+// instead of silently leaving the cache key stale.
 
-    void tag(const char *text)
-    {
-        for (const char *p = text; *p != '\0'; ++p)
-            bytes(p, 1);
-        const unsigned char sep = 0xff; // never appears in a tag
-        bytes(&sep, 1);
-    }
-
-    void u64(std::uint64_t value) { bytes(&value, sizeof(value)); }
-    void f64(double value)
-    {
-        u64(std::bit_cast<std::uint64_t>(value));
-    }
-    void boolean(bool value) { u64(value ? 1u : 0u); }
-
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 14695981039346656037ULL;
-};
+using util::Hasher;
 
 void
 fold(Hasher &h, const world::ScenarioConfig &c)
 {
-    h.tag("scenario");
-    h.u64(c.seed);
-    h.f64(c.blockLength);
-    h.f64(c.blockWidth);
-    h.f64(c.egoSpeed);
-    h.u64(c.nVehicles);
-    h.f64(c.vehicleLaneOffset);
-    h.u64(c.nParked);
-    h.u64(c.nPedestrians);
-    h.u64(c.nBuildings);
+    const auto &[seed, blockLength, blockWidth, egoSpeed, nVehicles,
+                 vehicleLaneOffset, nParked, nPedestrians,
+                 nBuildings] = c;
+    h.fields("scenario", seed, blockLength, blockWidth, egoSpeed,
+             nVehicles, vehicleLaneOffset, nParked, nPedestrians,
+             nBuildings);
 }
 
 void
 fold(Hasher &h, const world::RecorderConfig &c)
 {
-    h.tag("recorder");
-    h.u64(c.lidarPeriod);
-    h.u64(c.cameraPeriod);
-    h.u64(c.gnssPeriod);
-    h.u64(c.imuPeriod);
-    h.u64(c.cameraPhase);
-}
-
-void
-fold(Hasher &h, const stack::DegradationOptions &c)
-{
-    h.tag("degradation");
-    h.boolean(c.enabled);
-    h.u64(c.visionStaleAfter);
-    h.u64(c.trackerCoastAfter);
-    h.u64(c.trackerCoastPeriod);
-    h.u64(c.ndtReseedAfter);
-    h.u64(c.watchdogPeriod);
-    h.u64(c.watchdogStaleAfter);
+    const auto &[lidarPeriod, cameraPeriod, gnssPeriod, imuPeriod,
+                 cameraPhase] = c;
+    h.fields("recorder", lidarPeriod, cameraPeriod, gnssPeriod,
+             imuPeriod, cameraPhase);
 }
 
 void
 fold(Hasher &h, const stack::StackOptions &c)
 {
-    h.tag("stack");
-    h.u64(static_cast<std::uint64_t>(c.detector));
-    h.boolean(c.enableVision);
-    h.boolean(c.enableLocalization);
-    h.boolean(c.enableLidarDetection);
-    h.boolean(c.enableTracking);
-    h.boolean(c.enableCostmap);
-    h.boolean(c.clusterOnGpu);
-    fold(h, c.degradation);
+    const auto &[detector, enableVision, enableLocalization,
+                 enableLidarDetection, enableTracking, enableCostmap,
+                 clusterOnGpu, degradation] = c;
+    h.fields("stack", detector, enableVision, enableLocalization,
+             enableLidarDetection, enableTracking, enableCostmap,
+             clusterOnGpu);
+    const auto &[enabled, visionStaleAfter, trackerCoastAfter,
+                 trackerCoastPeriod, ndtReseedAfter, watchdogPeriod,
+                 watchdogStaleAfter] = degradation;
+    h.fields("degradation", enabled, visionStaleAfter,
+             trackerCoastAfter, trackerCoastPeriod, ndtReseedAfter,
+             watchdogPeriod, watchdogStaleAfter);
 }
 
 void
 fold(Hasher &h, const fault::FaultPlan &plan)
 {
-    h.tag("faults");
-    h.u64(plan.seed);
-    h.u64(plan.faults.size());
-    for (const fault::FaultSpec &spec : plan.faults) {
-        h.tag("fault");
-        h.u64(static_cast<std::uint64_t>(spec.kind));
-        h.u64(spec.start);
-        h.u64(spec.duration);
-        h.tag(spec.target.c_str());
-        h.f64(spec.probability);
-        h.f64(spec.factor);
-        h.u64(spec.extraDelay);
-        h.u64(spec.respawnDelay);
-        h.tag(spec.watchTopic.c_str());
+    const auto &[seed, faults] = plan;
+    h.fields("faults", seed, faults.size());
+    for (const fault::FaultSpec &spec : faults) {
+        h.text("fault");
+        fault::describe(h, spec);
     }
 }
 
 void
 fold(Hasher &h, const stack::SafetyOptions &c)
 {
-    h.tag("safety");
-    h.boolean(c.enabled);
-    h.u64(c.samplePeriod);
-    h.f64(c.trackRange);
-    h.f64(c.trackGate);
-    h.u64(c.trackLossSamples);
-    h.f64(c.maxLocalizationError);
-    h.f64(c.deadlineMs);
-    h.u64(c.deadlineMissStreak);
-    h.u64(c.livenessAfter);
+    const auto &[enabled, samplePeriod, trackRange, trackGate,
+                 trackLossSamples, maxLocalizationError, deadlineMs,
+                 deadlineMissStreak, livenessAfter] = c;
+    h.fields("safety", enabled, samplePeriod, trackRange, trackGate,
+             trackLossSamples, maxLocalizationError, deadlineMs,
+             deadlineMissStreak, livenessAfter);
 }
 
 void
 fold(Hasher &h, const hw::MachineConfig &c)
 {
-    h.tag("cpu");
-    h.u64(c.cpu.cores);
-    h.f64(c.cpu.freqGhz);
-    h.u64(c.cpu.quantum);
-    h.f64(c.cpu.memBandwidthGBs);
-    h.f64(c.cpu.memPenaltyCyclesPerByte);
-    h.f64(c.cpu.maxMemSlowdown);
-    h.tag("gpu");
-    h.f64(c.gpu.tflops);
-    h.f64(c.gpu.memBandwidthGBs);
-    h.f64(c.gpu.pcieGBs);
-    h.u64(c.gpu.kernelOverhead);
-    h.u64(c.gpu.copyOverhead);
-    h.f64(c.gpu.computeEfficiency);
-    h.tag("power");
-    h.f64(c.power.cpuIdleW);
-    h.f64(c.power.cpuPerCoreW);
-    h.f64(c.power.cpuMemWPerGBs);
-    h.f64(c.power.gpuIdleW);
-    h.f64(c.power.gpuMaxDynamicW);
-    h.f64(c.power.gpuCopyW);
+    const auto &[cpu, gpu, power] = c;
+    const auto &[cores, freqGhz, quantum, cpuMemBandwidthGBs,
+                 memPenaltyCyclesPerByte, maxMemSlowdown] = cpu;
+    h.fields("cpu", cores, freqGhz, quantum, cpuMemBandwidthGBs,
+             memPenaltyCyclesPerByte, maxMemSlowdown);
+    const auto &[tflops, gpuMemBandwidthGBs, pcieGBs, kernelOverhead,
+                 copyOverhead, computeEfficiency] = gpu;
+    h.fields("gpu", tflops, gpuMemBandwidthGBs, pcieGBs,
+             kernelOverhead, copyOverhead, computeEfficiency);
+    const auto &[cpuIdleW, cpuPerCoreW, cpuMemWPerGBs, gpuIdleW,
+                 gpuMaxDynamicW, gpuCopyW] = power;
+    h.fields("power", cpuIdleW, cpuPerCoreW, cpuMemWPerGBs, gpuIdleW,
+             gpuMaxDynamicW, gpuCopyW);
 }
 
 void
 fold(Hasher &h, const ros::TransportConfig &c)
 {
-    h.tag("transport");
-    h.u64(c.baseLatency);
-    h.f64(c.bandwidthGBs);
-    h.u64(static_cast<std::uint64_t>(c.mode));
+    const auto &[baseLatency, bandwidthGBs, mode] = c;
+    h.fields("transport", baseLatency, bandwidthGBs, mode);
 }
 
 void
 fold(Hasher &h, const perception::NodeConfig &c)
 {
-    h.tag("node");
-    h.f64(c.workScale);
-    h.u64(c.tracePeriod);
-    h.f64(c.costJitterCv);
-    h.u64(c.cache.sizeBytes);
-    h.u64(c.cache.assoc);
-    h.u64(c.cache.lineBytes);
-    h.u64(c.branch.tableBits);
-    h.u64(c.branch.historyBits);
-    h.f64(c.pipeline.peakIpc);
-    h.f64(c.pipeline.memIssueCost);
-    h.f64(c.pipeline.readMissPenalty);
-    h.f64(c.pipeline.writeMissPenalty);
-    h.f64(c.pipeline.flushPenalty);
-    h.f64(c.pipeline.divExtraLatency);
-    h.f64(c.pipeline.simdBonus);
-    h.f64(c.pipeline.l2MissFactor);
+    const auto &[workScale, tracePeriod, costJitterCv, cache, branch,
+                 pipeline] = c;
+    const auto &[sizeBytes, assoc, lineBytes] = cache;
+    const auto &[tableBits, historyBits] = branch;
+    const auto &[peakIpc, memIssueCost, readMissPenalty,
+                 writeMissPenalty, flushPenalty, divExtraLatency,
+                 simdBonus, l2MissFactor] = pipeline;
+    h.fields("node", workScale, tracePeriod, costJitterCv, sizeBytes,
+             assoc, lineBytes, tableBits, historyBits, peakIpc,
+             memIssueCost, readMissPenalty, writeMissPenalty,
+             flushPenalty, divExtraLatency, simdBonus, l2MissFactor);
 }
 
 void
 fold(Hasher &h, const stack::NodeCalibration &c)
 {
-    h.tag("calibration");
-    fold(h, c.voxelGridFilter);
-    fold(h, c.ndtMatching);
-    fold(h, c.rayGroundFilter);
-    fold(h, c.euclideanCluster);
-    fold(h, c.visionDetector);
-    fold(h, c.rangeVisionFusion);
-    fold(h, c.immUkfPda);
-    fold(h, c.trackRelay);
-    fold(h, c.naiveMotionPredict);
-    fold(h, c.costmapGenerator);
+    const auto &[voxelGridFilter, ndtMatching, rayGroundFilter,
+                 euclideanCluster, visionDetector, rangeVisionFusion,
+                 immUkfPda, trackRelay, naiveMotionPredict,
+                 costmapGenerator] = c;
+    h.text("calibration");
+    for (const perception::NodeConfig *node :
+         {&voxelGridFilter, &ndtMatching, &rayGroundFilter,
+          &euclideanCluster, &visionDetector, &rangeVisionFusion,
+          &immUkfPda, &trackRelay, &naiveMotionPredict,
+          &costmapGenerator})
+        fold(h, *node);
 }
 
+/**
+ * Fold the drive inputs: scenario, recorder and duration. The label
+ * is presentation and never folds; the config is cacheKey()'s.
+ */
 void
 foldDrive(Hasher &h, const ExperimentSpec &spec)
 {
-    fold(h, spec.scenario);
-    fold(h, spec.recorder);
-    h.tag("duration");
-    h.u64(spec.driveDuration);
-}
-
-std::string
-hex16(std::uint64_t value)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-        value >>= 4;
-    }
-    return out;
+    const auto &[label, scenario, recorder, driveDuration, config] =
+        spec;
+    fold(h, scenario);
+    fold(h, recorder);
+    h.fields("duration", driveDuration);
 }
 
 } // namespace
@@ -240,36 +153,31 @@ cacheKey(const ExperimentSpec &spec)
     // entries miss instead of misloading. v5: safety-invariant
     // thresholds, violations section in the result file,
     // content-derived fault Rng salts.
-    h.tag("avscope-exp-v5");
+    h.text("avscope-exp-v5");
     foldDrive(h, spec);
-    fold(h, spec.config.stack);
-    fold(h, spec.config.machine);
-    fold(h, spec.config.transport);
-    fold(h, spec.config.calibration);
-    h.tag("probes");
-    h.u64(spec.config.samplePeriod);
-    h.u64(spec.config.drainGrace);
-    fold(h, spec.config.faults);
-    fold(h, spec.config.safety);
-    h.tag("trace");
-    h.boolean(spec.config.trace);
-    h.tag("queuedepths");
-    h.u64(spec.config.queueDepths.size());
-    for (const ros::QueueDepthOverride &o : spec.config.queueDepths) {
-        h.tag(o.topic.c_str());
-        h.tag(o.node.c_str());
-        h.u64(o.depth);
-    }
-    return hex16(h.value());
+    const auto &[stack, machine, transport, calibration, samplePeriod,
+                 drainGrace, faults, trace, safety, queueDepths] =
+        spec.config;
+    fold(h, stack);
+    fold(h, machine);
+    fold(h, transport);
+    fold(h, calibration);
+    h.fields("probes", samplePeriod, drainGrace);
+    fold(h, faults);
+    fold(h, safety);
+    h.fields("trace", trace, "queuedepths", queueDepths.size());
+    for (const auto &[topic, node, depth] : queueDepths)
+        h.fields(topic, node, depth);
+    return util::hex16(h.value());
 }
 
 std::string
 driveKey(const ExperimentSpec &spec)
 {
     Hasher h;
-    h.tag("avscope-drive-v1");
+    h.text("avscope-drive-v1");
     foldDrive(h, spec);
-    return hex16(h.value());
+    return util::hex16(h.value());
 }
 
 } // namespace av::exp

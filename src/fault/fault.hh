@@ -31,6 +31,7 @@
 
 #include "ros/ros.hh"
 #include "sim/ticks.hh"
+#include "util/hash.hh"
 
 namespace av::fault {
 
@@ -54,9 +55,9 @@ const char *faultKindName(FaultKind kind);
 bool faultKindFromName(const std::string &name, FaultKind &out);
 
 /**
- * One scheduled fault. A flat record on purpose: it hashes into
- * ExperimentSpec::cacheKey() field by field and serializes without a
- * per-kind schema. Unused fields stay at their defaults.
+ * One scheduled fault. A flat record on purpose: describe() hashes it
+ * field by field without a per-kind schema. Unused fields stay at
+ * their defaults.
  */
 struct FaultSpec
 {
@@ -74,6 +75,8 @@ struct FaultSpec
      * empty picks a per-kind default (see defaultWatchTopic).
      */
     std::string watchTopic;
+
+    bool operator==(const FaultSpec &) const = default;
 };
 
 /** End of the disturbance window (crashes end at respawn). */
@@ -86,8 +89,15 @@ std::string faultLabel(const FaultSpec &spec);
 std::string defaultWatchTopic(const FaultSpec &spec);
 
 /**
- * Content-derived Rng-stream salt for one fault: an FNV-1a hash over
- * every FaultSpec field. Overlapping transport faults compose
+ * Fold every FaultSpec field into @p hash, in declaration order. The
+ * one description of a fault's identity: faultSalt() hashes it alone
+ * and exp::cacheKey() folds it per plan entry.
+ */
+void describe(util::Hasher &hash, const FaultSpec &spec);
+
+/**
+ * Content-derived Rng-stream salt for one fault: describe() hashed
+ * on its own. Overlapping transport faults compose
  * commutatively at the minros layer (any drop wins, any corrupt
  * wins, delays add, duplicate counts add — see ros::TransportFaults),
  * so with content-derived streams the *order* faults appear in a

@@ -220,11 +220,60 @@ TEST(Runner, CacheKeyCoversEveryReplayField)
              s.faults(fault::FaultPlan().frameLoss(
                  "/points_raw", sim::oneSec, sim::oneSec, 0.25));
          }},
+        {"camera phase",
+         [](exp::ExperimentSpec &s) {
+             s.recorder.cameraPhase += sim::oneMs;
+         }},
+        {"safety threshold",
+         [](exp::ExperimentSpec &s) {
+             s.config.safety.deadlineMs += 1.0;
+         }},
+        {"trace", [](exp::ExperimentSpec &s) { s.traced(); }},
+        {"queue-depth override",
+         [](exp::ExperimentSpec &s) {
+             s.queueDepth("/points_raw", "voxel_grid_filter", 2);
+         }},
+        {"calibration cache geometry",
+         [](exp::ExperimentSpec &s) {
+             s.config.calibration.voxelGridFilter.cache.assoc *= 2;
+         }},
+        {"power coefficient",
+         [](exp::ExperimentSpec &s) {
+             s.config.machine.power.gpuIdleW += 1.0;
+         }},
+        {"transport base latency",
+         [](exp::ExperimentSpec &s) {
+             s.config.transport.baseLatency += sim::oneUs;
+         }},
     };
     for (const auto &c : cases) {
         auto changed = base;
         c.mutate(changed);
         EXPECT_NE(exp::cacheKey(changed), key)
+            << c.what << " does not reach the cache key";
+    }
+
+    // Each FaultSpec field reaches the key by itself, not merely
+    // through the plan becoming non-empty.
+    auto faulted = base;
+    faulted.faults(
+        fault::FaultPlan().cameraBlackout(sim::oneSec, sim::oneSec));
+    const std::string faultedKey = exp::cacheKey(faulted);
+    const struct
+    {
+        const char *what;
+        void (*mutate)(fault::FaultSpec &);
+    } faultCases[] = {
+        {"fault factor", [](fault::FaultSpec &f) { f.factor = 0.5; }},
+        {"fault respawn delay",
+         [](fault::FaultSpec &f) { f.respawnDelay = sim::oneSec; }},
+        {"fault watch topic",
+         [](fault::FaultSpec &f) { f.watchTopic = "/objects"; }},
+    };
+    for (const auto &c : faultCases) {
+        auto changed = faulted;
+        c.mutate(changed.config.faults.faults.front());
+        EXPECT_NE(exp::cacheKey(changed), faultedKey)
             << c.what << " does not reach the cache key";
     }
 

@@ -91,6 +91,56 @@ TEST(FaultPlan, LabelsAndWindowsDeriveFromSpec)
               perception::topics::objects);
 }
 
+TEST(FaultPlan, SaltCoversEveryFieldAndEqualSpecsCompareEqual)
+{
+    const fault::FaultSpec base;
+    const std::uint64_t salt = fault::faultSalt(base);
+    const struct
+    {
+        const char *what;
+        void (*mutate)(fault::FaultSpec &);
+    } cases[] = {
+        {"kind",
+         [](fault::FaultSpec &f) {
+             f.kind = fault::FaultKind::GpuThrottle;
+         }},
+        {"start", [](fault::FaultSpec &f) { f.start += oneMs; }},
+        {"duration", [](fault::FaultSpec &f) { f.duration += oneMs; }},
+        {"target", [](fault::FaultSpec &f) { f.target = "/image_raw"; }},
+        {"probability",
+         [](fault::FaultSpec &f) { f.probability = 0.5; }},
+        {"factor", [](fault::FaultSpec &f) { f.factor = 0.5; }},
+        {"extra delay",
+         [](fault::FaultSpec &f) { f.extraDelay += oneMs; }},
+        {"respawn delay",
+         [](fault::FaultSpec &f) { f.respawnDelay += oneMs; }},
+        {"watch topic",
+         [](fault::FaultSpec &f) { f.watchTopic = "/objects"; }},
+        // Text fields are delimited: moving a character from the
+        // target into the watch topic is a different fault.
+        {"text boundary",
+         [](fault::FaultSpec &f) {
+             f.target = "/a";
+             f.watchTopic = "b";
+         }},
+    };
+    fault::FaultSpec boundary;
+    boundary.target = "/ab";
+    const std::uint64_t boundarySalt = fault::faultSalt(boundary);
+    for (const auto &c : cases) {
+        fault::FaultSpec changed = base;
+        c.mutate(changed);
+        EXPECT_NE(fault::faultSalt(changed), salt)
+            << c.what << " does not reach the salt";
+        EXPECT_NE(fault::faultSalt(changed), boundarySalt) << c.what;
+        EXPECT_FALSE(changed == base) << c.what;
+        const fault::FaultSpec copy = changed;
+        EXPECT_TRUE(copy == changed) << c.what;
+        EXPECT_EQ(fault::faultSalt(copy), fault::faultSalt(changed))
+            << c.what;
+    }
+}
+
 TEST(FaultInjector, BlackoutSuppressesOnlyInsideWindow)
 {
     Rig rig;
