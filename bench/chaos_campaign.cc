@@ -11,7 +11,10 @@
  * Everything is a pure function of the seeds, so the whole report —
  * cell table, frontier, histogram, minimal repros and
  * BENCH_chaos.json — is byte-identical across --jobs values and
- * fully cache-warm on a second invocation.
+ * fully cache-warm on a second invocation at the same --jobs. The
+ * one exception is the text report's count of submitted minimizer
+ * candidates, which grows with --jobs (speculative replays) and so
+ * stays out of the JSON.
  *
  * Extra flags on top of the common set:
  *   --campaign <n>     cells per detector (default 10; 4 in smoke)
@@ -295,12 +298,17 @@ main(int argc, char **argv)
                       out.cell.index);
 
             std::printf("minimal repro (cell %zu, %s, %llu"
-                        " candidate replays):\n",
+                        " candidate replays; candidates %llu decided"
+                        " / %llu submitted):\n",
                         out.cell.index,
                         stack::invariantName(
                             report.repro.invariant),
                         static_cast<unsigned long long>(
-                            report.repro.evaluations));
+                            report.repro.evaluations),
+                        static_cast<unsigned long long>(
+                            report.repro.evaluations - 1),
+                        static_cast<unsigned long long>(
+                            report.repro.submitted));
             for (const std::string &line :
                  planLines(report.repro.plan))
                 std::printf("  %s\n", line.c_str());
@@ -333,6 +341,11 @@ main(int argc, char **argv)
            " strongest sampled intensity survived and the weakest"
            " that (in compound) violated. The minimal repro is the"
            " delta-debugged plan: no single fault drop, window"
-           " halving or intensity weakening preserves the breach.\n";
+           " halving or intensity weakening preserves the breach."
+           " Its candidates are 'decided' when a step used their"
+           " verdict and 'submitted' when replayed at all: idle"
+           " workers replay candidates ahead of the decision that"
+           " may need them, so the second count grows with --jobs"
+           " while the repro does not.\n";
     return 0;
 }

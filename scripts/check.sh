@@ -18,7 +18,8 @@
 #      + safety invariants + plan minimization, DESIGN.md §15)
 #   6. rebuild + ctest under AddressSanitizer + UBSan, then the
 #      transport microbench, critical-path and chaos-campaign smokes
-#      under the same build
+#      under the same build (the chaos smoke with --jobs 4 on any
+#      core count, so the minimizer's speculative path runs)
 #   7. rebuild + ctest under ThreadSanitizer (the Runner's worker
 #      pool and result cache run real threads; TSan proves the
 #      isolation contract DESIGN.md §10 describes), then the same
@@ -96,7 +97,8 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 step "chaos-campaign smoke (ASan + UBSan)"
 ASAN_OPTIONS="detect_leaks=1:abort_on_error=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "$ASAN_BUILD/bench/chaos_campaign" --smoke --duration 6 --no-cache
+    "$ASAN_BUILD/bench/chaos_campaign" --smoke --duration 6 --no-cache \
+        --jobs 4
 
 step "sanitizers: configure + build ($TSAN_BUILD)"
 cmake -B "$TSAN_BUILD" -S "$ROOT" \
@@ -117,6 +119,7 @@ TSAN_OPTIONS="halt_on_error=1" \
 
 step "chaos-campaign smoke (TSan)"
 TSAN_OPTIONS="halt_on_error=1" \
-    "$TSAN_BUILD/bench/chaos_campaign" --smoke --duration 6 --no-cache
+    "$TSAN_BUILD/bench/chaos_campaign" --smoke --duration 6 --no-cache \
+        --jobs 4
 
 step "all checks passed"

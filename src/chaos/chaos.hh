@@ -18,14 +18,16 @@
  *    locally-minimal repro — drop faults, halve windows, weaken
  *    intensities — re-validating every step through the result
  *    cache, so the repro a campaign reports is the *smallest* plan
- *    that still breaches the same invariant.
+ *    that still breaches the same invariant. Idle workers replay
+ *    the candidates the next few decisions could need ahead of
+ *    time; the decisions themselves never depend on worker count.
  *
  * Everything here is a pure function of (CampaignSpec, seed): cells
  * are sampled from forked util::Rng streams, execution goes through
  * the deterministic replay engine, and classification reads only
  * RunResult content — so an entire campaign, including every minimal
  * repro, is byte-identical across worker counts and fully cache-warm
- * on a second invocation.
+ * on a second invocation with the same worker count.
  */
 
 #ifndef AVSCOPE_CHAOS_CHAOS_HH
@@ -199,20 +201,36 @@ struct MinimizeResult
      *  recorded violation). */
     stack::InvariantKind invariant =
         stack::InvariantKind::PipelineLiveness;
-    /** Distinct candidate replays submitted (cache hits included). */
+    /** Replays on the decided path: the original plan plus every
+     *  distinct candidate whose verdict a step used (cache hits
+     *  included). Identical for any worker count. */
     std::uint64_t evaluations = 0;
+    /** Distinct candidate jobs submitted, speculative ones included
+     *  (the original plan excluded): evaluations − 1 with fewer than
+     *  3 workers, at least that with more. Depends on the worker
+     *  count, so keep it out of artifacts that must be
+     *  byte-identical across --jobs. */
+    std::uint64_t submitted = 0;
     std::vector<MinimizeStep> steps;
 };
 
 /**
  * Shrink @p plan to a locally-minimal plan that still violates the
  * same invariant the full plan violated first, re-validating every
- * candidate through @p runner (serially, so the search is identical
- * for any worker count; with a cache directory every candidate warms
- * the cache for the next invocation). Greedy fixed point over three
- * step shapes: drop one fault, halve one window (50 ms quantized,
- * 100 ms floor), weaken one intensity field. Throws
- * std::invalid_argument when the initial plan does not violate.
+ * candidate through @p runner. Greedy fixed point over three step
+ * shapes: drop one fault, halve one window (50 ms quantized, 100 ms
+ * floor), weaken one intensity field.
+ *
+ * Before each wait, the candidates of the next d decisions under
+ * both hypothetical verdicts (d the largest with 2^d − 1 ≤
+ * runner.jobs()) are submitted speculatively; only the on-path one
+ * is awaited. The result — steps, plan, invariant, evaluations — is
+ * identical for any worker count. The set of submitted candidates
+ * is a pure function of the plan, the decided verdicts and
+ * runner.jobs(), so with a cache directory a re-run at the same
+ * worker count replays nothing. Every submitted job has finished by
+ * the time this returns or throws. Throws std::invalid_argument
+ * when the initial plan does not violate.
  */
 MinimizeResult minimizeViolation(exp::Runner &runner,
                                  const exp::ExperimentSpec &base,

@@ -84,7 +84,6 @@ SampleSeries::SampleSeries(std::size_t capacity, std::uint64_t seed)
     : capacity_(capacity), rngState_(seed ? seed : 1)
 {
     AV_ASSERT(capacity_ > 0, "SampleSeries capacity must be positive");
-    samples_.reserve(std::min<std::size_t>(capacity_, 4096));
 }
 
 void

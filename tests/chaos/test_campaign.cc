@@ -4,8 +4,10 @@
  * validation, cell classification, the resilience frontier fold,
  * worker-count independence of a full campaign (byte-identical
  * outcomes for --jobs 1 vs 4 and a fully cache-warm re-run), the
- * delta-debugging minimizer's shrink guarantee and fixed point, and
- * a golden-pinned minimal repro (regenerate with
+ * delta-debugging minimizer's shrink guarantee and fixed point, its
+ * speculative parallel search matching the serial one (and leaving
+ * a cache a same-width re-run fully hits), and a golden-pinned
+ * minimal repro (regenerate with
  * AVSCOPE_WRITE_GOLDEN=1).
  */
 
@@ -282,6 +284,66 @@ TEST(Campaign, MinimizerShrinksAndReachesAFixedPoint)
               chaos::canonicalPlan(repro.plan));
     for (const chaos::MinimizeStep &step : again.steps)
         EXPECT_FALSE(step.kept) << step.action;
+}
+
+TEST(Campaign, SpeculativeMinimizerMatchesSerial)
+{
+    const std::string serial_dir =
+        std::string(kCacheDir) + "_minimize_serial";
+    const std::string wide_dir =
+        std::string(kCacheDir) + "_minimize_wide";
+    std::filesystem::remove_all(serial_dir);
+    std::filesystem::remove_all(wide_dir);
+
+    exp::Runner wide(exp::RunnerConfig{4, wide_dir});
+    chaos::CampaignRunner campaign(wide, testCampaign());
+    const chaos::CellOutcome *violated_cell = nullptr;
+    for (const chaos::CellOutcome &out : campaign.run())
+        if (out.cls == chaos::CellClass::Violated) {
+            violated_cell = &out;
+            break;
+        }
+    ASSERT_NE(violated_cell, nullptr);
+    const exp::ExperimentSpec &base = campaign.spec().base;
+    const fault::FaultPlan &plan = violated_cell->cell.plan;
+
+    // The search's decisions are the same whether candidates are
+    // replayed one at a time or speculatively, four at a time.
+    exp::Runner serial(exp::RunnerConfig{1, serial_dir});
+    const chaos::MinimizeResult one =
+        chaos::minimizeViolation(serial, base, plan);
+    const chaos::MinimizeResult four =
+        chaos::minimizeViolation(wide, base, plan);
+    ASSERT_EQ(four.steps.size(), one.steps.size());
+    for (std::size_t i = 0; i < one.steps.size(); ++i) {
+        EXPECT_EQ(four.steps[i].action, one.steps[i].action);
+        EXPECT_EQ(four.steps[i].kept, one.steps[i].kept);
+    }
+    EXPECT_EQ(chaos::canonicalPlan(four.plan),
+              chaos::canonicalPlan(one.plan));
+    EXPECT_EQ(four.invariant, one.invariant);
+    EXPECT_EQ(four.evaluations, one.evaluations);
+
+    // One worker submits exactly the decided candidates; four may
+    // submit more, never fewer.
+    EXPECT_EQ(one.submitted, one.evaluations - 1);
+    EXPECT_GE(four.submitted, four.evaluations - 1);
+
+    // Every job the wide runner was given (the cells, the original
+    // plan and each candidate) had finished when the minimizer
+    // returned, speculative ones included.
+    EXPECT_EQ(wide.executed() + wide.cacheHits(),
+              testCampaign().cells + 1 + four.submitted);
+
+    // A fresh four-worker run submits the same candidates and finds
+    // every one cached: nothing replays.
+    exp::Runner warm(exp::RunnerConfig{4, wide_dir});
+    const chaos::MinimizeResult again =
+        chaos::minimizeViolation(warm, base, plan);
+    EXPECT_EQ(warm.executed(), 0u);
+    EXPECT_EQ(chaos::canonicalPlan(again.plan),
+              chaos::canonicalPlan(one.plan));
+    EXPECT_EQ(again.submitted, four.submitted);
 }
 
 TEST(Campaign, MinimalReproMatchesGolden)
