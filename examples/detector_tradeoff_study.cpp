@@ -15,7 +15,7 @@
 #include <iostream>
 #include <set>
 
-#include "core/characterization.hh"
+#include "core/run_result.hh"
 #include "options.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -48,12 +48,12 @@ main(int argc, char **argv)
         cfg.stack.detector = kind;
         util::inform("running ", perception::detectorName(kind),
                      " ...");
-        prof::CharacterizationRun run(drive, cfg);
+        prof::CharacterizationRun replay(drive, cfg);
 
         // Quality probe: sample labeled confirmed tracks once per
         // second via a tap on the tracker output.
         std::set<std::uint32_t> labeled_truth;
-        run.graph()
+        replay.graph()
             .topic<perception::ObjectList>(
                 perception::topics::trackedObjects)
             .addTap([&](const ros::Stamped<perception::ObjectList>
@@ -65,23 +65,24 @@ main(int argc, char **argv)
                 }
             });
 
-        run.execute();
+        replay.execute();
+        const prof::RunResult run = prof::snapshotRun(replay);
 
         const util::SampleSeries *vision =
-            run.findNodeLatencySeries("vision_detection");
+            run.findNodeSeries("vision_detection");
         AV_ASSERT(vision != nullptr, "vision node missing");
         const auto vis = vision->summarize();
         double drops = 0.0;
-        for (const auto &row : run.drops())
+        for (const auto &row : run.drops)
             if (row.topic == "/image_raw")
                 drops = row.dropRate();
-        const double cpu_w = run.power().cpuWatts().mean();
-        const double gpu_w = run.power().gpuWatts().mean();
+        const double cpu_w = run.cpuWatts.mean();
+        const double gpu_w = run.gpuWatts.mean();
 
         table.addRow(
             {perception::detectorName(kind),
              util::Table::num(vis.mean),
-             util::Table::num(run.paths().worstCaseP99()),
+             util::Table::num(run.worstCaseP99()),
              util::Table::pct(drops),
              std::to_string(labeled_truth.size()),
              util::Table::num(gpu_w),

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/characterization.hh"
+#include "core/run_result.hh"
 
 using namespace av;
 
@@ -35,9 +35,10 @@ main(int argc, char **argv)
     prof::RunConfig config;
     config.stack.detector = perception::DetectorKind::Yolov3;
 
-    // 3. Replay.
-    prof::CharacterizationRun run(drive, config);
-    run.execute();
+    // 3. Replay, then snapshot the finished run into plain data.
+    prof::CharacterizationRun replay(drive, config);
+    replay.execute();
+    const prof::RunResult run = prof::snapshotRun(replay);
 
     // 4. Read the measurements.
     std::printf("\nper-node latency (ms):\n");
@@ -48,29 +49,23 @@ main(int argc, char **argv)
     }
 
     std::printf("\nend-to-end paths (ms):\n");
-    for (const auto path :
-         {prof::Path::Localization, prof::Path::CostmapPoints,
-          prof::Path::CostmapVisionObj,
-          prof::Path::CostmapClusterObj}) {
-        const auto s = run.paths().series(path).summarize();
+    for (const auto &row : run.paths) {
+        const auto s = row.series.summarize();
         std::printf("  %-20s mean %7.2f   p99 %8.2f\n",
-                    prof::pathName(path), s.mean, s.p99);
+                    row.name.c_str(), s.mean, s.p99);
     }
 
     std::printf("\nplatform: CPU %.1f%% busy / %.1f W, GPU %.1f%% "
                 "busy / %.1f W\n",
-                100 * run.utilization().totalCpu().mean(),
-                run.power().cpuWatts().mean(),
-                100 * run.utilization().totalGpu().mean(),
-                run.power().gpuWatts().mean());
+                100 * run.totalCpu.mean(), run.cpuWatts.mean(),
+                100 * run.totalGpu.mean(), run.gpuWatts.mean());
 
     std::printf("tracker currently follows %zu confirmed objects\n",
-                run.stack().trackerNode()->tracker()
+                replay.stack().trackerNode()->tracker()
                     .confirmedCount());
     std::printf("\nworst-path p99 = %.1f ms -> the 100 ms budget is "
                 "%s\n",
-                run.paths().worstCaseP99(),
-                run.paths().worstCaseP99() > 100.0 ? "EXCEEDED"
-                                                   : "met");
+                run.worstCaseP99(),
+                run.worstCaseP99() > 100.0 ? "EXCEEDED" : "met");
     return 0;
 }

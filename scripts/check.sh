@@ -9,11 +9,13 @@
 #      fails the gate
 #   2. avlint over the whole tree
 #   3. avgraph: the static pub/sub topology contract over src/
-#      (regenerates results/topology.{json,dot}), then the ctest
-#      label 'graph'
+#      (regenerates results/topology.{json,dot} and, in a git
+#      checkout, fails if they differ from the committed files), then
+#      the ctest label 'graph'
 #   4. trace stage: the ctest label 'trace' (critical-path report +
 #      guarded-optimizer accept/rollback smoke over a traced drive,
-#      DESIGN.md §14)
+#      and the critical-frame / path-series cross-check, DESIGN.md
+#      §14)
 #   5. chaos stage: the ctest label 'chaos' (compound-fault campaign
 #      + safety invariants + plan minimization, DESIGN.md §15)
 #   6. rebuild + ctest under AddressSanitizer + UBSan, then the
@@ -64,6 +66,11 @@ step "avgraph (static pub/sub topology contract, ctest label 'graph')"
 "$BUILD/tools/avgraph/avgraph" --root "$ROOT" \
     --json "$ROOT/results/topology.json" \
     --dot "$ROOT/results/topology.dot"
+# The committed topology must be what avgraph extracts from src/.
+if git -C "$ROOT" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git -C "$ROOT" diff --exit-code -- \
+        results/topology.json results/topology.dot
+fi
 ctest --test-dir "$BUILD" --output-on-failure -L graph
 
 step "trace smoke (critical path + guarded optimizer, ctest label 'trace')"

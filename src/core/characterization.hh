@@ -92,15 +92,10 @@ struct RunConfig
     std::vector<ros::QueueDepthOverride> queueDepths;
 };
 
-/** Per-node latency result. */
-struct NodeLatency
-{
-    std::string name;
-    util::DistributionSummary summary;
-};
-
 /**
- * A full instrumented replay.
+ * A full instrumented replay. Live objects for setting the run up
+ * and driving it; a finished run is read through snapshotRun()
+ * (core/run_result.hh).
  */
 class CharacterizationRun
 {
@@ -113,7 +108,6 @@ class CharacterizationRun
     void execute();
 
     const stack::AutowareStack &stack() const { return *stack_; }
-    const PathTracer &paths() const { return *tracer_; }
     const UtilizationMonitor &utilization() const { return *util_; }
     const PowerMonitor &power() const { return *power_; }
     const StalenessMonitor &staleness() const { return *staleness_; }
@@ -144,26 +138,6 @@ class CharacterizationRun
     ros::RosGraph &graph() { return *graph_; }
 
     const RunConfig &config() const { return config_; }
-
-    std::vector<DropRow> drops() const;
-    std::vector<CounterRow> counters() const;
-
-    /**
-     * Per-node latency distributions; the costmap node reports its
-     * two callbacks separately as costmap_generator_obj /
-     * costmap_generator_points, matching the paper's Fig. 5 rows.
-     */
-    std::vector<NodeLatency> nodeLatencies() const;
-
-    /**
-     * Latency series of one node; nullptr when the node is unknown
-     * or its stack section is disabled. Mirrors
-     * AutowareStack::find() — lookups across src/core report
-     * absence through their return value, never by aborting, so
-     * callers choose between handling and asserting.
-     */
-    const util::SampleSeries *
-    findNodeLatencySeries(const std::string &name) const;
 
     /**
      * Per-fault outcomes: transport counters from the injector
@@ -202,7 +176,6 @@ class CharacterizationRun
     std::unique_ptr<hw::Machine> machine_;
     std::unique_ptr<ros::RosGraph> graph_;
     std::unique_ptr<stack::AutowareStack> stack_;
-    std::unique_ptr<PathTracer> tracer_;
     std::unique_ptr<UtilizationMonitor> util_;
     std::unique_ptr<PowerMonitor> power_;
     std::unique_ptr<StalenessMonitor> staleness_;

@@ -1,7 +1,5 @@
 #include "core/probes.hh"
 
-#include "perception/objects.hh"
-
 namespace av::prof {
 
 UtilizationMonitor::UtilizationMonitor(sim::EventQueue &eq,
@@ -94,85 +92,44 @@ pathName(Path path)
     return "?";
 }
 
-PathTracer::PathTracer(ros::RosGraph &graph)
+std::map<Path, util::SampleSeries>
+pathSeries(const trace::Recorder &recorder)
 {
-    series_.emplace(Path::Localization, util::SampleSeries(1u << 15));
-    series_.emplace(Path::CostmapPoints,
-                    util::SampleSeries(1u << 15));
-    series_.emplace(Path::CostmapVisionObj,
-                    util::SampleSeries(1u << 15));
-    series_.emplace(Path::CostmapClusterObj,
-                    util::SampleSeries(1u << 15));
+    std::map<Path, util::SampleSeries> out;
+    for (const Path path :
+         {Path::Localization, Path::CostmapPoints,
+          Path::CostmapVisionObj, Path::CostmapClusterObj})
+        out.emplace(path, util::SampleSeries(1u << 15));
+    const auto record = [&out](Path path, sim::Tick origin,
+                               sim::Tick now) {
+        if (now >= origin)
+            out.at(path).add(sim::ticksToMs(now - origin));
+    };
 
-    auto &eq = graph.eventQueue();
-
-    graph.topic<perception::PoseEstimate>(perception::topics::ndtPose)
-        .addTap([this, &eq](
-                    const ros::Stamped<perception::PoseEstimate>
-                        &msg) {
-            if (msg.header.origins.lidar)
-                record(Path::Localization, msg.header.origins.lidar,
-                       eq.now());
-        });
-
-    graph.topic<perception::Costmap>(perception::topics::costmap)
-        .addTap([this,
-                 &eq](const ros::Stamped<perception::Costmap> &msg) {
-            const ros::Origins &o = msg.header.origins;
-            if (o.camera) {
+    namespace t = perception::topics;
+    if (const auto *log = recorder.publishLog(t::ndtPose)) {
+        for (const trace::PublishRecord &pub : *log)
+            if (pub.originLidar)
+                record(Path::Localization, pub.originLidar, pub.tick);
+    }
+    if (const auto *log = recorder.publishLog(t::costmap)) {
+        for (const trace::PublishRecord &pub : *log) {
+            if (pub.originCamera) {
                 // Object layer (fused lineage): both Table IV
                 // object paths end here.
-                record(Path::CostmapVisionObj, o.camera, eq.now());
-                if (o.lidar)
-                    record(Path::CostmapClusterObj, o.lidar,
-                           eq.now());
-            } else if (o.lidar) {
+                record(Path::CostmapVisionObj, pub.originCamera,
+                       pub.tick);
+                if (pub.originLidar)
+                    record(Path::CostmapClusterObj, pub.originLidar,
+                           pub.tick);
+            } else if (pub.originLidar) {
                 // Points layer: LiDAR-only lineage.
-                record(Path::CostmapPoints, o.lidar, eq.now());
+                record(Path::CostmapPoints, pub.originLidar,
+                       pub.tick);
             }
-        });
-}
-
-void
-PathTracer::record(Path path, sim::Tick origin, sim::Tick now)
-{
-    if (now >= origin)
-        series_.at(path).add(sim::ticksToMs(now - origin));
-}
-
-const util::SampleSeries &
-PathTracer::series(Path path) const
-{
-    return series_.at(path);
-}
-
-double
-PathTracer::worstCaseP99() const
-{
-    double worst = 0.0;
-    for (const auto &[path, series] : series_)
-        worst = std::max(worst, series.quantile(0.99));
-    return worst;
-}
-
-double
-PathTracer::worstCaseMean() const
-{
-    double worst = 0.0;
-    for (const auto &[path, series] : series_)
-        worst = std::max(worst, series.running().mean());
-    return worst;
-}
-
-double
-PathTracer::worstCaseMax() const
-{
-    double worst = 0.0;
-    for (const auto &[path, series] : series_) {
-        if (series.count() > 0)
-            worst = std::max(worst, series.running().max());
+        }
     }
-    return worst;
+    return out;
 }
 
 std::vector<DropRow>

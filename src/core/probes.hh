@@ -6,9 +6,9 @@
  *  - UtilizationMonitor: atop-equivalent, 1 Hz per-node CPU share +
  *    nvidia-smi-equivalent GPU residency (Table V);
  *  - PowerMonitor: 1 Hz CPU/GPU watts (Table VI);
- *  - PathTracer: end-to-end computation-path latency via the
+ *  - pathSeries: end-to-end computation-path latency via the
  *    sensor-origin timestamps carried in message headers (Fig. 6,
- *    Table IV);
+ *    Table IV), read off the trace recorder's publish log;
  *  - DropMonitor: per-topic dropped-message accounting (Table III);
  *  - CounterProbe: PAPI-equivalent µarch counters per node
  *    (Table VII, Fig. 7).
@@ -124,30 +124,20 @@ enum class Path {
 const char *pathName(Path path);
 
 /**
- * Records end-to-end latency per computation path by tapping the
- * terminal topics and reading the origin stamps.
+ * End-to-end latency per computation path, in ms, from the
+ * sensor-origin stamps in the recorder's publish log. /ndt_pose's
+ * LiDAR origin feeds localization. A costmap with a camera origin
+ * ends both object paths: vision_obj, plus cluster_obj when it also
+ * carries a LiDAR origin; a LiDAR-only costmap ends the points path.
+ * Samples follow publish order and include everything the recorder
+ * saw, the drain after the drive's end too.
+ *
+ * @param recorder a recorder attached to the run's graph
+ * @return one series per path, every path present; iterates in
+ *         Path order, the Fig. 6 row order
  */
-class PathTracer
-{
-  public:
-    explicit PathTracer(ros::RosGraph &graph);
-
-    const util::SampleSeries &series(Path path) const;
-
-    /** Worst-path p99 — the paper's end-to-end latency metric. */
-    double worstCaseP99() const;
-
-    /** Worst-path mean. */
-    double worstCaseMean() const;
-
-    /** Worst observed end-to-end latency across all paths. */
-    double worstCaseMax() const;
-
-  private:
-    std::map<Path, util::SampleSeries> series_;
-
-    void record(Path path, sim::Tick origin, sim::Tick now);
-};
+std::map<Path, util::SampleSeries>
+pathSeries(const trace::Recorder &recorder);
 
 /** One topic/subscriber drop row (Table III). */
 struct DropRow

@@ -123,11 +123,4 @@ writeRunReport(const RunResult &run, const std::string &directory)
     return emit(counters, dir, "counters.csv");
 }
 
-bool
-writeRunReport(const CharacterizationRun &run,
-               const std::string &directory)
-{
-    return writeRunReport(snapshotRun(run), directory);
-}
-
 } // namespace av::prof

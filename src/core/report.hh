@@ -1,6 +1,6 @@
 /**
  * @file
- * Report writer: dump every measurement of a CharacterizationRun to
+ * Report writer: dump every measurement of a RunResult to
  * a directory of CSV files (one per paper table/figure), so results
  * can be plotted or diffed outside the process.
  */
@@ -30,10 +30,6 @@ namespace av::prof {
  *         cannot be written
  */
 bool writeRunReport(const RunResult &result,
-                    const std::string &directory);
-
-/** Snapshot a live run and write its report. */
-bool writeRunReport(const CharacterizationRun &run,
                     const std::string &directory);
 
 } // namespace av::prof

@@ -6,14 +6,6 @@ namespace av::prof {
 
 namespace {
 
-/** The four traced paths in reporting order. */
-constexpr Path kPaths[] = {
-    Path::Localization,
-    Path::CostmapPoints,
-    Path::CostmapVisionObj,
-    Path::CostmapClusterObj,
-};
-
 double
 secondsOf(const std::vector<std::pair<std::string, double>> &table,
           const std::string &owner)
@@ -130,12 +122,11 @@ snapshotRun(const CharacterizationRun &run, std::string label)
         out.nodes.push_back({node->name(), node->latencySeries()});
     }
 
-    for (const Path path : kPaths)
-        out.paths.push_back({pathName(path),
-                             run.paths().series(path)});
+    for (auto &[path, series] : pathSeries(run.recorder()))
+        out.paths.push_back({pathName(path), std::move(series)});
 
-    out.drops = run.drops();
-    out.counters = run.counters();
+    out.drops = collectDrops(run.graph());
+    out.counters = collectCounters(run.stack().nodes());
 
     for (const auto &[owner, row] : run.utilization().rows())
         out.utilization.push_back(

@@ -22,6 +22,13 @@
 
 namespace av::prof {
 
+/** Per-node latency summary (a Fig. 5 row). */
+struct NodeLatency
+{
+    std::string name;
+    util::DistributionSummary summary;
+};
+
 /** One named latency distribution (a Fig. 5 row). */
 struct NamedSeries
 {
@@ -116,7 +123,8 @@ struct RunResult
     const util::SampleSeries *
     findNodeSeries(const std::string &name) const;
 
-    /** Series of one computation path; nullptr when untraced. */
+    /** Series of one computation path; nullptr when the result
+     *  holds no such row (every snapshotRun result holds all four). */
     const util::SampleSeries *findPathSeries(Path path) const;
 
     /** Per-node summaries in stack order (Fig. 5 rows). */

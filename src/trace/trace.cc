@@ -58,19 +58,12 @@ Recorder::recordPublish(Id topic, Id publisher, std::uint64_t seq,
                         sim::Tick stamp, sim::Tick origin_lidar,
                         sim::Tick origin_camera, sim::Tick now)
 {
-    publishes_[topic].push_back(PublishRecord{now, stamp, seq});
-    if (!enabled_)
-        return;
-    Event ev;
-    ev.kind = EventKind::Publish;
-    ev.tick = now;
-    ev.topic = topic;
-    ev.seq = seq;
-    ev.node = publisher;
-    ev.stamp = stamp;
-    ev.originLidar = origin_lidar;
-    ev.originCamera = origin_camera;
-    events_.push_back(ev);
+    publishes_[topic].push_back(PublishRecord{now, stamp, seq,
+                                              origin_lidar,
+                                              origin_camera,
+                                              publisher, enabled_});
+    if (enabled_)
+        ++tracedPublishes_;
 }
 
 void
@@ -181,7 +174,25 @@ Recorder::lastPublish(const std::string &topic) const
 std::vector<Event>
 Recorder::canonicalEvents() const
 {
-    std::vector<Event> out = events_;
+    std::vector<Event> out;
+    out.reserve(eventCount());
+    out.insert(out.end(), events_.begin(), events_.end());
+    for (const auto &[topic, log] : publishes_) {
+        for (const PublishRecord &pub : log) {
+            if (!pub.traced)
+                continue;
+            Event ev;
+            ev.kind = EventKind::Publish;
+            ev.tick = pub.tick;
+            ev.topic = topic;
+            ev.seq = pub.seq;
+            ev.node = pub.publisher;
+            ev.stamp = pub.stamp;
+            ev.originLidar = pub.originLidar;
+            ev.originCamera = pub.originCamera;
+            out.push_back(ev);
+        }
+    }
     std::stable_sort(
         out.begin(), out.end(),
         [this](const Event &a, const Event &b) {

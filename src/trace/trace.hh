@@ -14,14 +14,16 @@
  *
  * Two retention tiers:
  *
- *  - The per-topic *publish log* ({tick, stamp, seq} per publication)
- *    is always on once a recorder is attached. It is cheap, and it is
- *    the data source the staleness and recovery probes read — their
- *    bespoke header-tap buffers were deleted in favour of this one
- *    recording path.
+ *  - The per-topic *publish log* (one PublishRecord per publication)
+ *    is always on once a recorder is attached. It is the only record
+ *    of a publication, and the data source the staleness, recovery
+ *    and computation-path probes read — their bespoke header-tap
+ *    buffers were deleted in favour of this one recording path.
  *  - The full *event stream* (deliveries, activations, CPU tasks,
  *    GPU kernels) is retained only when tracing is enabled
- *    (RunConfig::trace), keeping untraced replays lean.
+ *    (RunConfig::trace), keeping untraced replays lean. Its Publish
+ *    events are not stored twice: canonicalEvents() builds them from
+ *    the publish log.
  *
  * Determinism: the recorder is write-only with respect to the
  * simulation — recording never schedules events, reads the host
@@ -94,6 +96,10 @@ struct PublishRecord
     sim::Tick tick = 0;  ///< when publish() ran
     sim::Tick stamp = 0; ///< the message header's stamp
     std::uint64_t seq = 0;
+    sim::Tick originLidar = 0;  ///< header lineage: LiDAR capture
+    sim::Tick originCamera = 0; ///< header lineage: camera capture
+    Id publisher = 0; ///< advertising node (0 = external source)
+    bool traced = false; ///< recorded while tracing was enabled
 };
 
 class Recorder;
@@ -163,8 +169,8 @@ class Recorder
     // ---- emission surface ---------------------------------------
 
     /**
-     * Record one publication. Always feeds the publish log; appends
-     * a full event only when tracing is enabled.
+     * Record one publication into the publish log. When tracing is
+     * enabled it also counts as a Publish event of the stream.
      * @param publisher the advertising node (0 = external source:
      *        bag replay, probes)
      */
@@ -205,13 +211,20 @@ class Recorder
 
     // ---- full event stream (trace mode) -------------------------
 
-    /** Events retained so far (0 when tracing is disabled). */
-    std::uint64_t eventCount() const { return events_.size(); }
+    /** Events retained so far, publications recorded while tracing
+     *  included (0 when tracing is disabled). */
+    std::uint64_t eventCount() const
+    {
+        return events_.size() + tracedPublishes_;
+    }
 
     /**
      * The event stream in byte-stable canonical order: sorted by
      * (tick, topic name, seq, kind, node name). Identical for any
      * worker count and either transport mode of the same replay.
+     * Publish events come from the publish log; (tick, topic, seq)
+     * is unique per publication, so they sort totally and every
+     * other event keeps its relative recording order.
      */
     std::vector<Event> canonicalEvents() const;
 
@@ -222,8 +235,9 @@ class Recorder
     bool enabled_ = false;
     std::vector<std::string> names_;
     std::map<std::string, Id> ids_;
-    std::vector<Event> events_;
+    std::vector<Event> events_; ///< every kind but Publish
     std::map<Id, std::vector<PublishRecord>> publishes_;
+    std::uint64_t tracedPublishes_ = 0;
 };
 
 } // namespace av::trace

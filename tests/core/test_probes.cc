@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the profiling probes against hand-driven machines
  * and message graphs (no full stack): utilization and power
- * sampling, path tracing over synthetic lineages, drop collection.
+ * sampling, computation-path series from the publish log of
+ * synthetic lineages, drop collection.
  */
 
 #include <gtest/gtest.h>
@@ -112,8 +113,9 @@ TEST(PowerMonitor, BusyCoreRaisesPower)
 
 TEST(PathTracer, RoutesOriginsToTheRightSeries)
 {
+    trace::Recorder recorder; // outlives the rig's topics
     Rig rig;
-    prof::PathTracer tracer(*rig.graph);
+    rig.graph->setTraceRecorder(&recorder);
 
     auto pose_pub = rig.graph->advertise<perception::PoseEstimate>(
         perception::topics::ndtPose);
@@ -139,27 +141,37 @@ TEST(PathTracer, RoutesOriginsToTheRightSeries)
         h.origins.lidar = 170 * oneMs; // 30 ms -> points path
         costmap_pub.publish(h, perception::Costmap{}, 64);
     });
+    rig.eq.schedule(250 * oneMs, [&] {
+        ros::Header h;
+        h.stamp = rig.eq.now();
+        h.origins.lidar = 400 * oneMs; // origin in the future
+        pose_pub.publish(h, perception::PoseEstimate{}, 64);
+    });
     rig.eq.runUntil(300 * oneMs);
 
-    EXPECT_EQ(tracer.series(prof::Path::Localization).count(), 1u);
-    EXPECT_NEAR(tracer.series(prof::Path::Localization)
-                    .running()
-                    .mean(),
-                40.0, 1e-9);
-    EXPECT_NEAR(tracer.series(prof::Path::CostmapClusterObj)
-                    .running()
-                    .mean(),
-                80.0, 1e-9);
-    EXPECT_NEAR(tracer.series(prof::Path::CostmapVisionObj)
-                    .running()
-                    .mean(),
-                60.0, 1e-9);
-    EXPECT_NEAR(tracer.series(prof::Path::CostmapPoints)
-                    .running()
-                    .mean(),
-                30.0, 1e-9);
-    EXPECT_NEAR(tracer.worstCaseMean(), 80.0, 1e-9);
-    EXPECT_NEAR(tracer.worstCaseMax(), 80.0, 1e-9);
+    const auto paths = prof::pathSeries(recorder);
+    ASSERT_EQ(paths.size(), 4u);
+    const auto mean = [&paths](prof::Path path) {
+        return paths.at(path).running().mean();
+    };
+    // The future-origin pose fails the now >= origin guard.
+    EXPECT_EQ(paths.at(prof::Path::Localization).count(), 1u);
+    EXPECT_NEAR(mean(prof::Path::Localization), 40.0, 1e-9);
+    EXPECT_EQ(paths.at(prof::Path::CostmapClusterObj).count(), 1u);
+    EXPECT_NEAR(mean(prof::Path::CostmapClusterObj), 80.0, 1e-9);
+    EXPECT_EQ(paths.at(prof::Path::CostmapVisionObj).count(), 1u);
+    EXPECT_NEAR(mean(prof::Path::CostmapVisionObj), 60.0, 1e-9);
+    EXPECT_EQ(paths.at(prof::Path::CostmapPoints).count(), 1u);
+    EXPECT_NEAR(mean(prof::Path::CostmapPoints), 30.0, 1e-9);
+}
+
+TEST(PathTracer, EmptyLogGivesFourEmptySeries)
+{
+    const trace::Recorder recorder;
+    const auto paths = prof::pathSeries(recorder);
+    ASSERT_EQ(paths.size(), 4u);
+    for (const auto &[path, series] : paths)
+        EXPECT_EQ(series.count(), 0u) << prof::pathName(path);
 }
 
 TEST(DropCollection, ReportsPerSubscription)

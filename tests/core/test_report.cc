@@ -40,8 +40,9 @@ TEST(Report, WritesAllFilesWithConsistentContent)
     auto drive = prof::makeDrive(scenario, 10 * sim::oneSec);
     prof::RunConfig cfg;
     cfg.stack.detector = perception::DetectorKind::Ssd300;
-    prof::CharacterizationRun run(drive, cfg);
-    run.execute();
+    prof::CharacterizationRun replay(drive, cfg);
+    replay.execute();
+    const prof::RunResult run = prof::snapshotRun(replay);
 
     const std::string dir = "/tmp/avscope_report_test";
     std::filesystem::remove_all(dir);
@@ -82,7 +83,7 @@ TEST(Report, WritesAllFilesWithConsistentContent)
     ASSERT_EQ(power.size(), 3u);
     EXPECT_EQ(power[1][0], "cpu");
     EXPECT_NEAR(std::stod(power[1][1]),
-                run.power().cpuWatts().mean(), 1e-2);
+                run.cpuWatts.mean(), 1e-2);
     EXPECT_EQ(power[2][0], "gpu");
 
     // counters.csv: vision row has the SSD branch-miss signature.
@@ -104,10 +105,10 @@ TEST(Report, FailsOnUnwritableDirectory)
 {
     world::ScenarioConfig scenario;
     auto drive = prof::makeDrive(scenario, 2 * sim::oneSec);
-    prof::CharacterizationRun run(drive, prof::RunConfig{});
-    run.execute();
+    prof::CharacterizationRun replay(drive, prof::RunConfig{});
+    replay.execute();
     EXPECT_FALSE(prof::writeRunReport(
-        run, "/proc/definitely/not/writable"));
+        prof::snapshotRun(replay), "/proc/definitely/not/writable"));
 }
 
 } // namespace
